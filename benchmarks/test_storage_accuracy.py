@@ -7,18 +7,22 @@ Two gates for the multi-pass analysis framework:
   dynamic arrays), must identify slot, intra-slot offset/width, kind,
   rendered type and mapping depth for at least 95% of variables.  The
   measured number feeds ``EXPERIMENTS.md``.
-* **Overhead** — the two passes the framework added to every analysis
-  (storage, lint) must cost under 5% of cold end-to-end recovery.
-  Measured as a throughput ratio between recovery under the full
-  default pipeline and under ``CORE_PIPELINE`` (cfg/jumps/stack/
-  dispatcher only — exactly the pre-framework analysis), exported as
-  ``analysis.throughput_ratio`` for the perf-history trajectory.
+* **Overhead** — the passes the framework added after the
+  pre-framework analysis (storage, lint, and the ABI passes) must cost
+  under 5% of cold end-to-end recovery.  Measured as a throughput ratio
+  between recovery under the full default pipeline and under the core
+  pipeline (cfg/jumps/stack/dispatcher only — exactly the
+  pre-framework analysis), exported as ``analysis.throughput_ratio``
+  for the perf-history trajectory.  Recovery reads none of the added
+  products and the analysis context computes products on demand, so
+  the ratio stays near 1.0 unless a recovery path starts reading one.
 """
 
 import time
 
-from repro.analysis import CORE_PIPELINE, analyze
+from repro.analysis import analyze
 from repro.analysis import framework as _framework
+from repro.analysis.framework import AnalysisPipeline
 from repro.corpus.datasets import build_clone_corpus, build_storage_corpus
 from repro.sigrec.api import SigRec
 
@@ -108,6 +112,10 @@ def test_analysis_pass_overhead_under_five_percent(benchmark, record,
 
     def run():
         original = _framework.DEFAULT_PIPELINE
+        core = AnalysisPipeline(tuple(
+            p for p in original.passes
+            if p.name in ("cfg", "jumps", "stack", "dispatcher")
+        ))
         try:
             ratios = []
             full_n = core_n = 0
@@ -120,7 +128,7 @@ def test_analysis_pass_overhead_under_five_percent(benchmark, record,
                 start = time.process_time()
                 full_n = _cold_recovery_pass(bytecodes)
                 full_elapsed = time.process_time() - start
-                _framework.DEFAULT_PIPELINE = CORE_PIPELINE
+                _framework.DEFAULT_PIPELINE = core
                 start = time.process_time()
                 core_n = _cold_recovery_pass(bytecodes)
                 core_elapsed = time.process_time() - start

@@ -2,7 +2,8 @@
 
 A multi-pass framework (:mod:`repro.analysis.framework`): every pass
 declares its inputs, carries its own schema version, and runs over a
-shared per-bytecode context.  The default pipeline:
+shared per-bytecode context that computes each product on first
+access.  The default pipeline:
 
 * ``cfg`` — basic-block construction (:mod:`repro.evm.cfg`);
 * ``jumps`` — jump-target resolution by push-constant stack dataflow
@@ -25,9 +26,9 @@ shared per-bytecode context.  The default pipeline:
 * ``lint`` — everything folded into one linter verdict
   (:mod:`repro.analysis.lint`).
 
-:func:`repro.analysis.report.analyze` runs the pipeline; the resulting
-:class:`~repro.analysis.report.ContractAnalysis` doubles as the TASE
-engine's pruning oracle and ``SigRec``'s cross-check source, and
+:func:`repro.analysis.report.analyze` opens that context; the resulting
+:class:`~repro.analysis.report.ContractAnalysis` view doubles as the
+TASE engine's pruning oracle and ``SigRec``'s cross-check source, and
 :func:`~repro.analysis.report.build_profile` folds it (plus recovered
 signatures) into the deterministic contract-profile document.
 """
@@ -35,7 +36,6 @@ signatures) into the deterministic contract-profile document.
 from repro.analysis.dataflow import ResolvedCFG, resolve_bytecode, resolve_jumps
 from repro.analysis.dispatcher import DispatcherReport, extract_dispatch
 from repro.analysis.framework import (
-    CORE_PIPELINE,
     DEFAULT_PIPELINE,
     AnalysisContext,
     AnalysisPass,
@@ -74,7 +74,6 @@ from repro.analysis.storage import (
 
 __all__ = [
     "ANALYSIS_SCHEMA_VERSION",
-    "CORE_PIPELINE",
     "DEFAULT_PIPELINE",
     "PROFILE_SCHEMA_VERSION",
     "AnalysisContext",

@@ -10,8 +10,12 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
   **provides**, and the pipeline validates at construction time that
   every requirement is produced by an earlier pass (no hidden ordering
   assumptions);
-* passes share one :class:`AnalysisContext` per bytecode, so a product
-  is computed exactly once however many downstream passes read it;
+* passes share one :class:`AnalysisContext` per bytecode, which
+  computes a product on first access (after its requirements) and
+  caches it, so a product is computed at most once however many
+  consumers read it — and never when none does: ``SigRec.recover``
+  reads only cfg/jumps/dispatcher, and the passes only ``abi``,
+  ``profile`` and ``lint`` read stay unrun until one of them asks;
 * each pass carries its own **schema version**.  What a pass *means*
   determines what the engine may prune and what a cached recovery
   contains, so the per-pass versions are folded into the persistent
@@ -19,9 +23,9 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
   :mod:`repro.sigrec.cache`) — bumping one pass invalidates exactly the
   results that could depend on it;
 * every pass runs under a :func:`repro.obs.phase_span`
-  (``analysis.<name>`` spans and ``phase.seconds`` histograms), so a
-  trace shows where static-analysis time goes per pass, not as one
-  opaque blob.
+  (``analysis.<name>`` spans and ``phase.seconds`` histograms) inside a
+  ``static_analysis`` phase span, so a trace shows where
+  static-analysis time goes per pass, not as one opaque blob.
 
 The default pipeline (:data:`DEFAULT_PIPELINE`) is::
 
@@ -40,31 +44,9 @@ its requirements, and insert it into the pipeline (tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, SpanTracer, phase_span
-
-
-class AnalysisContext:
-    """Shared per-bytecode state: the input bytes plus pass products."""
-
-    __slots__ = ("bytecode", "products")
-
-    def __init__(self, bytecode: bytes) -> None:
-        self.bytecode = bytecode
-        self.products: Dict[str, object] = {}
-
-    def __getitem__(self, name: str) -> object:
-        try:
-            return self.products[name]
-        except KeyError:
-            raise KeyError(
-                f"analysis product {name!r} not available; was the pass "
-                "registered before its consumers?"
-            ) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.products
 
 
 @dataclass(frozen=True)
@@ -88,6 +70,66 @@ class AnalysisPass:
 
 class PipelineError(Exception):
     """A malformed pipeline: duplicate names or unsatisfied requires."""
+
+
+class AnalysisContext:
+    """Shared per-bytecode state: the input bytes plus pass products.
+
+    A product is computed on first access: ``ctx[name]`` runs the pass
+    providing ``name`` — after its ``requires``, so each pass span times
+    that pass alone — and caches the result.  Each such computation
+    runs under one ``static_analysis`` phase span, so a pass first read
+    by ``profile()`` long after ``recover()`` still sits in the phase
+    tree.  A runner's reads of its declared ``requires`` are cache hits.
+    """
+
+    __slots__ = ("bytecode", "products", "_passes", "_metrics", "_tracer")
+
+    def __init__(
+        self,
+        bytecode: bytes,
+        pipeline: Iterable[AnalysisPass] = (),
+        metrics: Optional[MetricsRegistry] = None,
+        tracer: Optional[SpanTracer] = None,
+    ) -> None:
+        self.bytecode = bytecode
+        self.products: Dict[str, object] = {}
+        self._passes = {pass_.name: pass_ for pass_ in pipeline}
+        self._metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+
+    def __getitem__(self, name: str) -> object:
+        try:
+            return self.products[name]
+        except KeyError:
+            self.pull(name)
+            return self.products[name]
+
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` has been computed yet."""
+        return name in self.products
+
+    def pull(self, *names: str) -> None:
+        """Compute ``names`` and everything they require, now."""
+        with phase_span(self._metrics, self._tracer, "static_analysis"):
+            for name in names:
+                self._compute(name)
+
+    def _compute(self, name: str) -> None:
+        if name in self.products:
+            return
+        pass_ = self._passes.get(name)
+        if pass_ is None:
+            raise KeyError(
+                f"analysis product {name!r} not available: no pass in "
+                "this context's pipeline provides it"
+            )
+        for requirement in pass_.requires:
+            self._compute(requirement)
+        with phase_span(self._metrics, self._tracer, f"analysis.{name}"):
+            product = pass_.run(self)
+        self._metrics.counter("analysis.pass_runs", **{"pass": name}).inc()
+        self.products[name] = product
 
 
 class AnalysisPipeline:
@@ -133,20 +175,9 @@ class AnalysisPipeline:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> AnalysisContext:
-        """Run every pass in order over one shared context."""
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        tracer = tracer if tracer is not None else NULL_TRACER
-        context = AnalysisContext(bytecode)
-        observing = metrics is not NULL_REGISTRY or tracer is not NULL_TRACER
-        for pass_ in self.passes:
-            if observing:
-                with phase_span(metrics, tracer, f"analysis.{pass_.name}"):
-                    context.products[pass_.name] = pass_.run(context)
-                metrics.counter(
-                    "analysis.pass_runs", **{"pass": pass_.name}
-                ).inc()
-            else:
-                context.products[pass_.name] = pass_.run(context)
+        """A context over ``bytecode`` with every pass already run."""
+        context = AnalysisContext(bytecode, self, metrics, tracer)
+        context.pull(*self.names())
         return context
 
 
@@ -237,12 +268,6 @@ DEFAULT_PIPELINE = AnalysisPipeline((
         requires=("jumps", "stack", "dispatcher", "storage"),
     ),
 ))
-
-#: The pre-profile pass set: exactly the work a recovery needs (the
-#: engine and memo consume cfg/jumps/stack/dispatcher only).  The
-#: overhead benchmark compares cold recovery under this pipeline vs the
-#: full default one to bound what the new passes cost.
-CORE_PIPELINE = AnalysisPipeline(DEFAULT_PIPELINE.passes[:4])
 
 
 def default_pipeline() -> AnalysisPipeline:

@@ -21,7 +21,7 @@ Severity semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
@@ -157,18 +157,17 @@ def lint_findings(
     rcfg: ResolvedCFG,
     stack: StackReport,
     dispatcher: DispatcherReport,
-    storage: Optional[StorageLayout] = None,
+    storage: StorageLayout,
 ) -> Tuple[Finding, ...]:
     """The lint pass: all findings for one bytecode, sorted by pc.
 
     Takes the upstream pass products directly so the pipeline can run
-    it without a :class:`ContractAnalysis` wrapper.  ``storage`` (when
-    available) adds per-selector unresolved-site blind-spot notes.
+    it without a :class:`ContractAnalysis` wrapper.  ``storage`` adds
+    per-selector unresolved-site blind-spot notes.
     """
     findings: List[Finding] = list(stack.findings) + list(dispatcher.findings)
     findings.extend(_truncated_push(bytecode, rcfg))
-    if storage is not None:
-        findings.extend(_storage_blind_spots(rcfg, dispatcher, storage))
+    findings.extend(_storage_blind_spots(rcfg, dispatcher, storage))
     for pc in sorted(rcfg.unresolved_jumps):
         findings.append(
             Finding(
@@ -194,18 +193,8 @@ def lint_findings(
 
 
 def lint_analysis(analysis: ContractAnalysis) -> LintReport:
-    """Fold an existing analysis into a lint verdict.
-
-    Reuses the lint pass's product when the analysis carries one (the
-    default pipeline always does); re-derives it otherwise.
-    """
-    findings = analysis.lint_findings
-    if findings is None:
-        findings = lint_findings(
-            analysis.bytecode, analysis.cfg, analysis.stack,
-            analysis.dispatcher, storage=analysis.storage,
-        )
-    return LintReport(analysis=analysis, findings=tuple(findings))
+    """Fold an analysis's lint-pass product into a lint verdict."""
+    return LintReport(analysis=analysis, findings=analysis.lint_findings)
 
 
 def lint_bytecode(bytecode: bytes) -> LintReport:

@@ -1,15 +1,17 @@
 """The combined static-analysis result for one contract.
 
-:func:`analyze` runs the default :class:`~repro.analysis.framework.
-AnalysisPipeline` — CFG construction, jump resolution, stack
-verification, dispatcher extraction, storage-layout recovery, linting —
-and folds the pass products into a :class:`ContractAnalysis`, which is
-both the linter's input and the TASE engine's pruning oracle.
-``analyze`` is *total*: it never raises on arbitrary byte strings (junk
-decodes to UNKNOWN instructions, which the passes treat as opaque path
-ends).
+:func:`analyze` opens an :class:`~repro.analysis.framework.
+AnalysisContext` over the default pipeline and wraps it in a
+:class:`ContractAnalysis`: a view that computes the CFG, jump
+resolution and dispatcher at once (every consumer reads them) and each
+other pass product — stack verification, storage layout,
+reachability, mutability, return shapes, lint findings — on first
+read.  The view is the linter's input, the profile's source, and the
+TASE engine's pruning oracle.  ``analyze`` is *total*: it never raises
+on arbitrary byte strings (junk decodes to UNKNOWN instructions, which
+the passes treat as opaque path ends).
 
-The engine-facing derived data is computed lazily:
+The engine-facing derived data is computed lazily too:
 
 * ``silent_halt_blocks`` — blocks that provably halt without emitting
   any TASE event (only PUSH/POP/JUMPDEST plus a STOP/REVERT/INVALID
@@ -32,13 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport, region_preimage
 from repro.analysis.framework import (
-    AnalysisPipeline,
+    AnalysisContext,
     default_pipeline,
     pass_versions,
     schema_aggregate,
@@ -84,29 +86,48 @@ class Diagnostic:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
 class ContractAnalysis:
-    """All static passes over one runtime bytecode, plus derived views."""
+    """All static passes over one runtime bytecode, plus derived views.
 
-    bytecode: bytes
-    cfg: ResolvedCFG
-    stack: StackReport
-    dispatcher: DispatcherReport
-    #: Recovered storage layout; ``None`` when analyzed under a pipeline
-    #: without the storage pass (e.g. the core pre-profile pipeline).
-    storage: Optional[StorageLayout] = None
-    #: The lint pass's findings; ``None`` under a lint-less pipeline.
-    lint_findings: Optional[Tuple[Finding, ...]] = None
-    #: Per-selector reachability facts (``None`` under e.g. the core
-    #: pipeline), and the ABI-completion products built on them.
-    reach: Optional[ReachabilityReport] = None
-    mutability: Optional[MutabilityReport] = None
-    returns: Optional[ReturnsReport] = None
-    _silent_halts: Optional[FrozenSet[int]] = field(default=None, repr=False)
-    _closed_regions: Optional[Dict[int, FrozenSet[int]]] = field(
-        default=None, repr=False
-    )
-    _unique_targets: Optional[Dict[int, int]] = field(default=None, repr=False)
+    A view over one :class:`AnalysisContext`: ``cfg`` (the
+    jump-resolved CFG) and ``dispatcher`` are computed on construction,
+    and every other pass product when first read, so a consumer pays
+    only for the passes it reads.
+    """
+
+    def __init__(self, context: AnalysisContext) -> None:
+        context.pull("jumps", "dispatcher")
+        self.context = context
+        self.bytecode: bytes = context.bytecode
+        self.cfg: ResolvedCFG = context["jumps"]
+        self.dispatcher: DispatcherReport = context["dispatcher"]
+        self._silent_halts: Optional[FrozenSet[int]] = None
+        self._closed_regions: Optional[Dict[int, FrozenSet[int]]] = None
+        self._unique_targets: Optional[Dict[int, int]] = None
+
+    @property
+    def stack(self) -> StackReport:
+        return self.context["stack"]
+
+    @property
+    def storage(self) -> StorageLayout:
+        return self.context["storage"]
+
+    @property
+    def reach(self) -> ReachabilityReport:
+        return self.context["reach"]
+
+    @property
+    def mutability(self) -> MutabilityReport:
+        return self.context["mutability"]
+
+    @property
+    def returns(self) -> ReturnsReport:
+        return self.context["returns"]
+
+    @property
+    def lint_findings(self) -> Tuple[Finding, ...]:
+        return self.context["lint"]
 
     @property
     def findings(self) -> Tuple[Finding, ...]:
@@ -209,29 +230,15 @@ def analyze(
     bytecode: bytes,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[SpanTracer] = None,
-    pipeline: Optional[AnalysisPipeline] = None,
 ) -> ContractAnalysis:
-    """Run the analysis pipeline over ``bytecode``.
+    """The static analysis of ``bytecode`` under the default pipeline.
 
-    With no ``pipeline`` argument, :func:`~repro.analysis.framework.
-    default_pipeline` runs (all passes); pass e.g. ``CORE_PIPELINE`` to
-    restrict to the recovery-critical subset.  ``metrics``/``tracer``
-    flow to per-pass phase spans.
+    Runs the passes every consumer reads (cfg, jumps, dispatcher); the
+    rest run when the returned view's product is first read.
+    ``metrics``/``tracer`` flow to the per-pass phase spans.
     """
-    if pipeline is None:
-        pipeline = default_pipeline()
-    context = pipeline.run(bytecode, metrics=metrics, tracer=tracer)
-    products = context.products
     return ContractAnalysis(
-        bytecode=bytecode,
-        cfg=products["jumps"],
-        stack=products["stack"],
-        dispatcher=products["dispatcher"],
-        storage=products.get("storage"),
-        lint_findings=products.get("lint"),
-        reach=products.get("reach"),
-        mutability=products.get("mutability"),
-        returns=products.get("returns"),
+        AnalysisContext(bytecode, default_pipeline(), metrics, tracer)
     )
 
 
@@ -295,8 +302,7 @@ class ContractProfile:
     signatures: Tuple[dict, ...]
     storage: dict
     #: Per-selector ABI completion facts: ``{"0x...": {"mutability":
-    #: str, "returns": [types] | None}}``; empty when the pipeline ran
-    #: without the mutability/returns passes.
+    #: str, "returns": [types] | None}}``.
     abi: dict
     dispatcher: dict
     cfg: dict
@@ -431,33 +437,27 @@ def build_profile(
     bytecode = analysis.bytecode
     cfg = analysis.cfg
     dispatcher = analysis.dispatcher
-    storage = analysis.storage if analysis.storage is not None else StorageLayout()
     lint = lint_analysis(analysis)
     counts = lint.counts()
     versions = pass_versions()
+    mutability = analysis.mutability
+    returns = analysis.returns
     abi: Dict[str, dict] = {}
-    if analysis.mutability is not None or analysis.returns is not None:
-        mutability = analysis.mutability
-        returns = analysis.returns
-        for selector in dispatcher.selectors:
-            verdict = "unknown"
-            if mutability is not None:
-                verdict = mutability.functions.get(selector, "unknown")
-            shape = None
-            if returns is not None:
-                recovered = returns.functions.get(selector)
-                if recovered is not None and recovered.shape is not None:
-                    shape = list(recovered.shape)
-            abi[f"0x{selector:08x}"] = {
-                "mutability": verdict,
-                "returns": shape,
-            }
+    for selector in dispatcher.selectors:
+        recovered = returns.functions.get(selector)
+        shape = None
+        if recovered is not None and recovered.shape is not None:
+            shape = list(recovered.shape)
+        abi[f"0x{selector:08x}"] = {
+            "mutability": mutability.functions.get(selector, "unknown"),
+            "returns": shape,
+        }
     return ContractProfile(
         bytecode_sha256=hashlib.sha256(bytecode).hexdigest(),
         code_size=len(bytecode),
         passes=tuple(sorted(versions.items())),
         signatures=_signature_facts(signatures),
-        storage=storage.to_dict(),
+        storage=analysis.storage.to_dict(),
         abi=abi,
         dispatcher={
             "selectors": [f"0x{s:08x}" for s in dispatcher.selectors],

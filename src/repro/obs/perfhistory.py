@@ -136,19 +136,17 @@ def _tier_value(bench: Mapping, section: str, key: str) -> Optional[float]:
     return float(value) if isinstance(value, (int, float)) else None
 
 
-def check_regression(
+def _compare(
     bench_path: str,
     history_dir: str,
-    threshold: float = 0.2,
-    calibration: Optional[float] = None,
+    threshold: float,
+    calibration: Optional[float],
+    direction: int,
 ) -> List[str]:
-    """Compare ``bench_path`` against the newest history snapshot.
-
-    Returns one message per tier regressing by more than ``threshold``
-    (empty list: no regression).  Tiers missing on either side are
-    skipped — a snapshot recorded before a tier existed must not fail
-    every future run.
-    """
+    """One message per tier whose value moved past ``threshold`` against
+    the newest history snapshot: downward for ``direction`` -1, upward
+    for +1.  Tiers missing on either side are skipped — a snapshot
+    recorded before a tier existed must not fail every future run."""
     entries = history_entries(history_dir)
     if not entries:
         return []
@@ -158,7 +156,7 @@ def check_regression(
     current = _load(bench_path)
     live_calibration = calibrate() if calibration is None else calibration
 
-    failures: List[str] = []
+    messages: List[str] = []
     for section, key, calibrated in TIERS:
         prev_value = _tier_value(prev_bench, section, key)
         cur_value = _tier_value(current, section, key)
@@ -173,15 +171,34 @@ def check_regression(
             prev_norm, cur_norm = prev_value, cur_value
         if prev_norm <= 0:
             continue
-        if cur_norm < prev_norm * (1.0 - threshold):
-            drop = 1.0 - cur_norm / prev_norm
-            failures.append(
-                f"{section}.{key}: {cur_value:,.2f} is {drop:.0%} below the "
-                f"previous entry's {prev_value:,.2f}"
-                + (" (calibrated)" if calibrated else "")
-                + f" — more than the {threshold:.0%} budget"
-            )
-    return failures
+        bound = prev_norm * (1.0 + direction * threshold)
+        if direction * (cur_norm - bound) <= 0:
+            continue
+        change = direction * (cur_norm / prev_norm - 1.0)
+        message = (
+            f"{section}.{key}: {cur_value:,.2f} is {change:.0%} "
+            f"{'above' if direction > 0 else 'below'} the previous "
+            f"entry's {prev_value:,.2f}"
+            + (" (calibrated)" if calibrated else "")
+        )
+        if direction < 0:
+            message += f" — more than the {threshold:.0%} budget"
+        messages.append(message)
+    return messages
+
+
+def check_regression(
+    bench_path: str,
+    history_dir: str,
+    threshold: float = 0.2,
+    calibration: Optional[float] = None,
+) -> List[str]:
+    """Compare ``bench_path`` against the newest history snapshot.
+
+    Returns one message per tier regressing by more than ``threshold``
+    (empty list: no regression).
+    """
+    return _compare(bench_path, history_dir, threshold, calibration, -1)
 
 
 def check_improvement(
@@ -197,38 +214,7 @@ def check_improvement(
     report --check-perf`` surfaces these as info lines so a successful
     optimisation shows up in the report instead of passing silently.
     """
-    entries = history_entries(history_dir)
-    if not entries:
-        return []
-    _, previous = entries[-1]
-    prev_bench = previous.get("bench", {})
-    prev_calibration = float(previous.get("calibration", 0) or 0)
-    current = _load(bench_path)
-    live_calibration = calibrate() if calibration is None else calibration
-
-    improvements: List[str] = []
-    for section, key, calibrated in TIERS:
-        prev_value = _tier_value(prev_bench, section, key)
-        cur_value = _tier_value(current, section, key)
-        if prev_value is None or cur_value is None:
-            continue
-        if calibrated:
-            if not prev_calibration or not live_calibration:
-                continue
-            prev_norm = prev_value / prev_calibration
-            cur_norm = cur_value / live_calibration
-        else:
-            prev_norm, cur_norm = prev_value, cur_value
-        if prev_norm <= 0:
-            continue
-        if cur_norm > prev_norm * (1.0 + threshold):
-            gain = cur_norm / prev_norm - 1.0
-            improvements.append(
-                f"{section}.{key}: {cur_value:,.2f} is {gain:.0%} above the "
-                f"previous entry's {prev_value:,.2f}"
-                + (" (calibrated)" if calibrated else "")
-            )
-    return improvements
+    return _compare(bench_path, history_dir, threshold, calibration, +1)
 
 
 def main(argv: List[str], repo_root: Optional[str] = None) -> int:

@@ -263,21 +263,20 @@ class SigRec:
     def _analyze(self, bytecode: bytes) -> ContractAnalysis:
         """The memoized static analysis for ``bytecode``.
 
-        The pipeline walk (CFG, jump fixpoint, stack check, dispatcher,
-        storage, lint) is pure in the bytecode, so one instance computes
-        it once per bytecode and every consumer — ``recover``'s shard
-        planner, the cross-check, ``profile`` — shares the result.  Only
-        a miss pays the walk (and records the ``static_analysis`` span).
+        Every pass is pure in the bytecode, so one instance keeps one
+        analysis context per bytecode and every consumer — ``recover``'s
+        shard planner, the cross-check, ``abi``, ``profile`` — shares
+        it.  A miss runs only cfg/jumps/dispatcher; the passes ``abi``
+        and ``profile`` read run on their first read, each at most once
+        per bytecode.  Every pass run records its span under a
+        ``static_analysis`` phase span.
         """
         digest = hashlib.sha256(bytecode).digest()
         analysis = self._analysis_memo.get(digest)
         if analysis is not None:
             self._analysis_memo.move_to_end(digest)
             return analysis
-        with phase_span(self.metrics, self.tracer, "static_analysis"):
-            analysis = analyze(
-                bytecode, metrics=self.metrics, tracer=self.tracer
-            )
+        analysis = analyze(bytecode, metrics=self.metrics, tracer=self.tracer)
         self._analysis_memo[digest] = analysis
         while len(self._analysis_memo) > _ANALYSIS_MEMO_SIZE:
             self._analysis_memo.popitem(last=False)
@@ -805,16 +804,13 @@ class SigRec:
                 {"name": f"arg{i}", "type": rendered}
                 for i, rendered in enumerate(sig.param_types)
             ] if sig is not None else []
-            verdict = "unknown"
-            if mutability is not None:
-                verdict = mutability.functions.get(selector, "unknown")
+            verdict = mutability.functions.get(selector, "unknown")
             if verdict == "unknown":
                 verdict = "nonpayable"
+            recovered = returns.functions.get(selector)
             shape: tuple = ()
-            if returns is not None:
-                recovered = returns.functions.get(selector)
-                if recovered is not None and recovered.shape is not None:
-                    shape = recovered.shape
+            if recovered is not None and recovered.shape is not None:
+                shape = recovered.shape
             entries.append({
                 "type": "function",
                 "name": f"func_{selector:08x}",

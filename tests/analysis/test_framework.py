@@ -6,7 +6,6 @@ from repro.abi.signature import FunctionSignature
 from repro.analysis import analyze
 from repro.analysis import framework
 from repro.analysis.framework import (
-    CORE_PIPELINE,
     DEFAULT_PIPELINE,
     AnalysisContext,
     AnalysisPass,
@@ -16,7 +15,13 @@ from repro.analysis.framework import (
     schema_aggregate,
 )
 from repro.compiler import compile_contract
+from repro.corpus.datasets import (
+    build_closed_source_corpus,
+    build_obfuscated_corpus,
+    build_vyper_corpus,
+)
 from repro.obs import MetricsRegistry, SpanTracer
+from repro.sigrec.api import SigRec
 
 
 def _code(signature="f(uint8)"):
@@ -32,10 +37,6 @@ def test_default_pipeline_runs_all_passes():
     for name in DEFAULT_PIPELINE.names():
         assert name in context
     assert context["jumps"].blocks
-
-
-def test_core_pipeline_is_a_prefix():
-    assert CORE_PIPELINE.names() == DEFAULT_PIPELINE.names()[:4]
 
 
 def test_products_shared_not_recomputed():
@@ -118,14 +119,64 @@ def test_pass_versions_follow_monkeypatched_pipeline(monkeypatch):
     assert schema_aggregate() != aggregate
 
 
-def test_analyze_with_core_pipeline_omits_new_products():
-    analysis = analyze(_code(), pipeline=CORE_PIPELINE)
-    assert analysis.storage is None
-    assert analysis.lint_findings is None
-    assert analysis.reach is None
-    assert analysis.mutability is None
-    assert analysis.returns is None
-    assert analysis.dispatcher.selectors
+def _pass_runs(metrics):
+    return {
+        key[len("analysis.pass_runs{pass="):-1]: value
+        for key, value in metrics.counter_values().items()
+        if key.startswith("analysis.pass_runs{")
+    }
+
+
+def test_entry_points_pull_only_the_passes_they_read():
+    """recover runs cfg/jumps/dispatcher; abi adds the ABI passes;
+    profile adds the rest — and the shared context never reruns one."""
+    metrics = MetricsRegistry()
+    tool = SigRec(metrics=metrics)
+    code = _code("f(uint8,bytes)")
+    signatures = tool.recover(code)
+    assert _pass_runs(metrics) == {"cfg": 1, "jumps": 1, "dispatcher": 1}
+    tool.abi(code, signatures)
+    assert _pass_runs(metrics) == {
+        "cfg": 1, "jumps": 1, "dispatcher": 1,
+        "reach": 1, "mutability": 1, "returns": 1,
+    }
+    tool.profile(code, signatures)
+    everything_once = dict.fromkeys(DEFAULT_PIPELINE.names(), 1)
+    assert _pass_runs(metrics) == everything_once
+    tool.recover(code)
+    tool.abi(code, signatures)
+    tool.profile(code, signatures)
+    assert _pass_runs(metrics) == everything_once
+
+
+def _sample_codes():
+    return [
+        case.contract.bytecode
+        for corpus in (
+            build_closed_source_corpus(n_contracts=25, seed=2),
+            build_vyper_corpus(n_contracts=10, seed=4),
+            build_obfuscated_corpus(n_contracts=10, seed=9),
+        )
+        for case in corpus.cases
+    ]
+
+
+def test_outputs_do_not_depend_on_product_access_order():
+    """On-demand products equal products forced up front: no pass reads
+    anything that depends on which other products already exist."""
+    for code in _sample_codes():
+        lazy = SigRec()
+        signatures = lazy.recover(code)
+        lazy_abi = lazy.abi(code, signatures)
+        lazy_profile = lazy.profile(code, signatures).to_json()
+
+        forced = SigRec()
+        forced._analyze(code).context.pull(*DEFAULT_PIPELINE.names())
+        forced_signatures = forced.recover(code)
+        assert forced.profile(code, forced_signatures).to_json() == (
+            lazy_profile
+        )
+        assert forced.abi(code, forced_signatures) == lazy_abi
 
 
 def test_analyze_default_carries_storage_and_lint():

@@ -57,6 +57,29 @@ def test_recover_emits_phase_spans_and_rule_counters():
         assert by_name[child]["parent"] == by_name["recover"]["id"]
 
 
+def test_passes_pulled_after_recover_nest_under_static_analysis():
+    """profile() runs storage long after recover(); its span must still
+    sit inside a static_analysis phase span, one of the top-level
+    phases ``repro report`` attributes shares to."""
+    from repro.obs.report import _TOP_PHASES
+
+    code = _bytecode("a(uint8)", "b(bool)")
+    tracer = SpanTracer()
+    tool = SigRec(metrics=MetricsRegistry(), tracer=tracer)
+    signatures = tool.recover(code)
+    starts = [r for r in tracer.records if r["type"] == "span_start"]
+    assert "analysis.storage" not in {r["name"] for r in starts}
+    tool.profile(code, signatures)
+    starts = [r for r in tracer.records if r["type"] == "span_start"]
+    by_id = {r["id"]: r for r in starts}
+    storage = [r for r in starts if r["name"] == "analysis.storage"]
+    assert len(storage) == 1
+    phase = by_id[storage[0]["parent"]]
+    assert phase["name"] == "static_analysis"
+    assert phase["name"] in _TOP_PHASES
+    assert phase["parent"] is None
+
+
 def test_metrics_do_not_perturb_options_fingerprint():
     plain = SigRec()
     instrumented = SigRec(metrics=MetricsRegistry(), tracer=SpanTracer())
