@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -108,7 +107,6 @@ class SigRec:
         memo: bool = True,
         memo_dir: Optional[str] = None,
         inference_memo: bool = True,
-        inference_memo_dir: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
         ledger: Optional[RunLedger] = None,
@@ -144,31 +142,31 @@ class SigRec:
         # budgets, early-exitable) and the monolithic walk only backstops
         # contracts the dispatcher analysis cannot close.  ``memo``
         # additionally keys each shard's inferred signature by its code
-        # region so clone-heavy corpora recover each shared body once;
-        # ``memo_dir`` adds the persistent on-disk memo tier (it is
-        # wiring, like ``metrics``, and not part of :meth:`options`).
-        self.sharded = sharded
-        self.memo = memo
-        self.memo_dir = memo_dir
-        self._fn_memo = None
+        # region so clone-heavy corpora recover each shared body once.
         # ``inference_memo`` adds the third caching tier: inference
         # products keyed by the canonical event-stream digest
         # (:func:`repro.sigrec.events.events_digest`), so clones whose
         # *bytecode* differs but whose event streams normalize
         # identically skip rule inference entirely (TASE still runs).
-        # ``inference_memo_dir`` adds its persistent on-disk tier; like
-        # ``memo_dir`` it is wiring and not part of :meth:`options`.
+        # ``memo_dir`` adds the persistent on-disk tier of both memos
+        # (it is wiring, like ``metrics``, and not part of
+        # :meth:`options`).
+        self.sharded = sharded
+        self.memo = memo
         self.inference_memo = inference_memo
-        self.inference_memo_dir = inference_memo_dir
-        self._inf_memo = None
+        self.memo_dir = memo_dir
+        #: Memo stores by kind, created on first use or attached.
+        self._stores: Dict[type, object] = {}
         #: "sharded" or "monolithic": which exploration strategy the
         #: most recent ``recover`` call actually used.
         self.last_strategy: str = "monolithic"
         #: Cache-tier outcome of the most recent ``recover`` call:
         #: "cold" (everything explored), "memo" (every wanted selector
-        #: replayed from the function memo) or "memo-partial".  The
-        #: "result-cache" tier is recorded by the batch parent, which
-        #: never calls ``recover`` for those contracts.
+        #: replayed from the function memo), "inference-memo" (every
+        #: inference replayed from the inference memo), or either with
+        #: a "-partial" suffix.  The "result-cache" tier is recorded by
+        #: the batch parent, which never calls ``recover`` for those
+        #: contracts.
         self._last_tier: str = "cold"
         #: (memo hits, memo misses) of the most recent ``recover``.
         self._last_memo: Tuple[int, int] = (0, 0)
@@ -194,14 +192,14 @@ class SigRec:
             scheduler=scheduler,
             driver=driver,
         )
+        from repro.sigrec.cache import LRU
+
         # Recent engine results, keyed by bytecode digest: ``recover``
         # deposits here and ``explain`` reuses instead of re-running TASE.
-        self._result_memo: "OrderedDict[bytes, TASEResult]" = OrderedDict()
+        self._result_memo = LRU(_RESULT_MEMO_SIZE)
         # Recent static analyses, same keying: every consumer goes
         # through :meth:`_analyze` so one bytecode is walked once.
-        self._analysis_memo: "OrderedDict[bytes, ContractAnalysis]" = (
-            OrderedDict()
-        )
+        self._analysis_memo = LRU(_ANALYSIS_MEMO_SIZE)
 
     def options(self) -> Dict[str, object]:
         """Everything needed to build an equivalent instance.
@@ -219,46 +217,29 @@ class SigRec:
         return opts
 
     def function_memo(self):
-        """The function-body memo, created on first use (or ``None``).
+        """The function-body memo, created on first use (or ``None``)."""
+        from repro.sigrec.cache import FunctionMemo
 
-        Exposed so the batch executor can share one per-process memo
-        across worker tools via :meth:`set_function_memo`.
-        """
-        if not self.memo:
-            return None
-        if self._fn_memo is None:
-            from repro.sigrec.cache import FunctionMemo
-
-            self._fn_memo = FunctionMemo(
-                self.options(), directory=self.memo_dir, metrics=self.metrics
-            )
-        return self._fn_memo
-
-    def set_function_memo(self, memo) -> None:
-        """Inject a shared :class:`FunctionMemo` (batch workers)."""
-        self._fn_memo = memo
+        return self._store(FunctionMemo) if self.memo else None
 
     def inference_memo_tier(self):
-        """The inference memo, created on first use (or ``None``).
+        """The inference memo, created on first use (or ``None``)."""
+        from repro.sigrec.cache import InferenceMemo
 
-        Exposed so the batch executor can share one per-process memo
-        across worker tools via :meth:`set_inference_memo`.
-        """
-        if not self.inference_memo:
-            return None
-        if self._inf_memo is None:
-            from repro.sigrec.cache import InferenceMemo
+        return self._store(InferenceMemo) if self.inference_memo else None
 
-            self._inf_memo = InferenceMemo(
-                self.options(),
-                directory=self.inference_memo_dir,
-                metrics=self.metrics,
+    def attach_store(self, store) -> None:
+        """Use ``store`` as this tool's memo of its kind (batch workers
+        share one per process across their short-lived tools)."""
+        self._stores[type(store)] = store
+
+    def _store(self, kind):
+        store = self._stores.get(kind)
+        if store is None:
+            store = self._stores[kind] = kind(
+                self.options(), directory=self.memo_dir, metrics=self.metrics
             )
-        return self._inf_memo
-
-    def set_inference_memo(self, memo) -> None:
-        """Inject a shared :class:`InferenceMemo` (batch workers)."""
-        self._inf_memo = memo
+        return store
 
     def _analyze(self, bytecode: bytes) -> ContractAnalysis:
         """The memoized static analysis for ``bytecode``.
@@ -273,13 +254,11 @@ class SigRec:
         """
         digest = hashlib.sha256(bytecode).digest()
         analysis = self._analysis_memo.get(digest)
-        if analysis is not None:
-            self._analysis_memo.move_to_end(digest)
-            return analysis
-        analysis = analyze(bytecode, metrics=self.metrics, tracer=self.tracer)
-        self._analysis_memo[digest] = analysis
-        while len(self._analysis_memo) > _ANALYSIS_MEMO_SIZE:
-            self._analysis_memo.popitem(last=False)
+        if analysis is None:
+            analysis = analyze(
+                bytecode, metrics=self.metrics, tracer=self.tracer
+            )
+            self._analysis_memo.put(digest, analysis)
         return analysis
 
     def _run_engine(
@@ -296,15 +275,8 @@ class SigRec:
             )
         with phase_span(self.metrics, self.tracer, "tase"):
             result = engine.run()
-        self._deposit_result(bytecode, result)
+        self._result_memo.put(hashlib.sha256(bytecode).digest(), result)
         return result
-
-    def _deposit_result(self, bytecode: bytes, result: TASEResult) -> None:
-        digest = hashlib.sha256(bytecode).digest()
-        self._result_memo[digest] = result
-        self._result_memo.move_to_end(digest)
-        while len(self._result_memo) > _RESULT_MEMO_SIZE:
-            self._result_memo.popitem(last=False)
 
     def recover(
         self,
@@ -334,9 +306,7 @@ class SigRec:
             if self.profiler is not None:
                 hot_before = self.profiler.snapshot()
             started = time.perf_counter()
-        self._last_tier = "cold"
         self._last_memo = (0, 0)
-        self._last_inference_memo = (0, 0)
         with phase_span(
             self.metrics, self.tracer, "recover", bytes=len(bytecode)
         ):
@@ -344,33 +314,29 @@ class SigRec:
             if self.static_check or self.prune or self.sharded:
                 analysis = self._analyze(bytecode)
             plan = self._shard_plan(analysis)
+            memo_hits: Dict[int, object] = {}
+            memo_keys: Dict[int, str] = {}
             if plan is not None:
                 self.last_strategy = "sharded"
-                recovered, result = self._recover_sharded(
+                result, memo_hits, memo_keys = self._recover_sharded(
                     bytecode, analysis, plan, only, exclude
                 )
             else:
                 self.last_strategy = "monolithic"
                 result = self._run_engine(bytecode, analysis)
-                recovered = []
-                pred_memo = PredicateMemo()
-                with phase_span(self.metrics, self.tracer, "inference"):
-                    for selector in result.selectors:
-                        if not _passes(selector, only, exclude):
-                            continue
-                        recovered.append(
-                            self._infer_one(
-                                selector, result.functions[selector],
-                                pred_memo,
-                            )
-                        )
-                inf_hits, inf_misses = self._last_inference_memo
-                if inf_hits:
+            recovered = self._infer(
+                result, only, exclude, memo_hits, memo_keys
+            )
+            self._last_tier = "cold"
+            for tier, hits in (
+                ("memo", self._last_memo[0]),
+                ("inference-memo", self._last_inference_memo[0]),
+            ):
+                if hits:
                     self._last_tier = (
-                        "inference-memo"
-                        if inf_misses == 0
-                        else "inference-memo-partial"
+                        tier if hits == len(recovered) else f"{tier}-partial"
                     )
+                    break
             self.last_diagnostics = self._diagnose(
                 analysis, result, partial=partial
             )
@@ -472,14 +438,16 @@ class SigRec:
         plan: Tuple[int, ...],
         only: Optional[FrozenSet[int]],
         exclude: FrozenSet[int],
-    ) -> Tuple[List[RecoveredSignature], TASEResult]:
-        """Per-selector shards + residual walk + function-body memo."""
-        from repro.sigrec.cache import FunctionRecord, InferenceRecord
+    ) -> Tuple[TASEResult, Dict[int, object], Dict[int, str]]:
+        """Per-selector shards + residual walk, skipping memoized bodies.
 
+        Returns the merged result plus the function-memo records that
+        replaced a shard and the memo keys of the shards that missed,
+        both by selector, for :meth:`_infer`.
+        """
         known = frozenset(plan)
         wanted = [s for s in plan if _passes(s, only, exclude)]
         memo = self.function_memo()
-        inf_memo = self.inference_memo_tier()
         hits: Dict[int, object] = {}
         miss_keys: Dict[int, str] = {}
         with phase_span(self.metrics, self.tracer, "disasm"):
@@ -512,172 +480,93 @@ class SigRec:
             result = merge_tase_results(parts)
             result.selectors = sorted(set(result.functions) | set(hits))
             engine.publish_metrics(result)
-        recovered: List[RecoveredSignature] = []
-        fresh_inferred = 0
-        inf_hits = inf_misses = 0
+        self._last_memo = (len(hits), len(miss_keys))
+        if not hits:
+            # Every function was actually explored, so the merged result
+            # is a complete event map ``explain`` may reuse; with memo
+            # hits it would be missing bodies and must not be deposited.
+            self._result_memo.put(hashlib.sha256(bytecode).digest(), result)
+        return result, hits, miss_keys
+
+    def _infer(
+        self,
+        result: TASEResult,
+        only: Optional[FrozenSet[int]],
+        exclude: FrozenSet[int],
+        memo_hits: Dict[int, object],
+        memo_keys: Dict[int, str],
+    ) -> List[RecoveredSignature]:
+        """Inference for every wanted function: the one per-function path
+        of sharded and monolithic recovery.
+
+        A function-memo hit (``memo_hits``) is replayed.  Any other
+        function probes the inference memo (keyed by its event digest)
+        and, on a miss, is inferred against a local tracker so its
+        counts are replayable later.  The record of a function with a
+        function-memo key (``memo_keys``) is written back under it, so
+        the next run on that body also skips TASE.  Replays merge the
+        recorded rule/conflict counts, so the Fig.-19 aggregates match a
+        memo-less run exactly.
+        """
+        from repro.sigrec.cache import InferenceRecord
+
+        fn_memo = self.function_memo() if memo_keys else None
+        inf_memo = self.inference_memo_tier()
         pred_memo = PredicateMemo()
+        recovered: List[RecoveredSignature] = []
+        inf_hits = inf_misses = 0
         with phase_span(self.metrics, self.tracer, "inference"):
             for selector in result.selectors:
                 if not _passes(selector, only, exclude):
                     continue
-                record = hits.get(selector)
+                record = memo_hits.get(selector)
                 if record is not None:
-                    # Memo hit: replay the recorded rule activity so the
-                    # Fig.-19 aggregates match a memo-less run exactly.
-                    self.tracker.merge(record.rule_counts)
-                    for rule_id, count in record.conflicts.items():
-                        self.tracker.conflict(rule_id, count)
-                    recovered.append(record.to_signature())
+                    recovered.append(self._replay(record, selector))
                     continue
                 events = result.functions[selector]
                 inf_key = None
                 if inf_memo is not None:
                     inf_key = inf_memo.key_for(events_digest(events))
-                    inf_record = inf_memo.get(inf_key)
-                    if inf_record is not None:
-                        # Inference-memo hit: TASE ran, inference is
-                        # replayed — counters exactly as a fresh run.
-                        inf_hits += 1
-                        self.tracker.merge(inf_record.rule_counts)
-                        for rule_id, count in inf_record.conflicts.items():
-                            self.tracker.conflict(rule_id, count)
-                        recovered.append(inf_record.to_signature(selector))
-                        # Backfill the function memo so the next run on
-                        # this exact body hits the cheaper tier (which
-                        # also skips TASE).
-                        key = miss_keys.get(selector)
-                        if memo is not None and key is not None:
-                            memo.put(
-                                key, inf_record.to_function_record(selector)
-                            )
-                        continue
-                    inf_misses += 1
-                fresh_inferred += 1
-                local = RuleTracker()
-                start = time.perf_counter()
-                inferred = infer_function(
-                    events, local,
-                    semantic_idioms=self.semantic_idioms,
-                    coarse_only=self.coarse_only,
-                    memo=pred_memo,
-                )
-                elapsed = time.perf_counter() - start
-                self.tracker.merge(local)
-                signature = RecoveredSignature(
-                    selector=selector,
-                    param_types=tuple(inferred.param_types),
-                    language=inferred.language,
-                    elapsed_seconds=elapsed,
-                    fired_rules=tuple(inferred.fired_rules),
-                    confidences=tuple(inferred.confidences),
-                )
+                    record = inf_memo.get(inf_key)
+                if record is not None:
+                    inf_hits += 1
+                    signature = self._replay(record, selector)
+                else:
+                    local = RuleTracker()
+                    start = time.perf_counter()
+                    inferred = infer_function(
+                        events, local,
+                        semantic_idioms=self.semantic_idioms,
+                        coarse_only=self.coarse_only,
+                        memo=pred_memo,
+                    )
+                    elapsed = time.perf_counter() - start
+                    self.tracker.merge(local)
+                    record = InferenceRecord.from_inference(
+                        inferred.param_types,
+                        inferred.language,
+                        inferred.fired_rules,
+                        inferred.confidences,
+                        local.counts,
+                        local.conflicts,
+                    )
+                    signature = record.to_signature(selector, elapsed)
+                    if inf_key is not None:
+                        inf_misses += 1
+                        inf_memo.put(inf_key, record)
+                key = memo_keys.get(selector)
+                if key is not None:
+                    fn_memo.put(key, record)
                 recovered.append(signature)
-                key = miss_keys.get(selector)
-                if memo is not None and key is not None:
-                    memo.put(
-                        key,
-                        FunctionRecord(
-                            selector=selector,
-                            param_types=signature.param_types,
-                            language=signature.language,
-                            fired_rules=signature.fired_rules,
-                            confidences=signature.confidences,
-                            rule_counts={
-                                r: c for r, c in local.counts.items() if c
-                            },
-                            conflicts=dict(local.conflicts),
-                        ),
-                    )
-                if inf_memo is not None and inf_key is not None:
-                    inf_memo.put(
-                        inf_key,
-                        InferenceRecord.from_inference(
-                            signature.param_types,
-                            signature.language,
-                            signature.fired_rules,
-                            signature.confidences,
-                            local.counts,
-                            local.conflicts,
-                        ),
-                    )
-        self._last_memo = (len(hits), len(miss_keys))
         self._last_inference_memo = (inf_hits, inf_misses)
-        if hits:
-            self._last_tier = (
-                "memo"
-                if fresh_inferred == 0 and inf_hits == 0
-                else "memo-partial"
-            )
-        elif inf_hits:
-            self._last_tier = (
-                "inference-memo"
-                if fresh_inferred == 0
-                else "inference-memo-partial"
-            )
-        if not hits:
-            # Every function was actually explored, so the merged result
-            # is a complete event map ``explain`` may reuse; with memo
-            # hits it would be missing bodies and must not be deposited.
-            self._deposit_result(bytecode, result)
-        return recovered, result
+        return recovered
 
-    def _infer_one(
-        self, selector: int, events, pred_memo: Optional[PredicateMemo] = None
-    ) -> RecoveredSignature:
-        """Monolithic-path inference for one function.
-
-        Probes the inference memo first (the monolithic walk has no
-        function-body preimage, so the event digest is its only memo
-        key); a fresh inference runs against a local tracker merged
-        into the shared one, so its counts are replayable on a later
-        hit — the same Fig.-19 parity discipline as the sharded path.
-        """
-        from repro.sigrec.cache import InferenceRecord
-
-        inf_memo = self.inference_memo_tier()
-        inf_key = None
-        if inf_memo is not None:
-            inf_key = inf_memo.key_for(events_digest(events))
-            inf_record = inf_memo.get(inf_key)
-            hits, misses = self._last_inference_memo
-            if inf_record is not None:
-                self._last_inference_memo = (hits + 1, misses)
-                self.tracker.merge(inf_record.rule_counts)
-                for rule_id, count in inf_record.conflicts.items():
-                    self.tracker.conflict(rule_id, count)
-                return inf_record.to_signature(selector)
-            self._last_inference_memo = (hits, misses + 1)
-        local = RuleTracker()
-        start = time.perf_counter()
-        inferred = infer_function(
-            events, local,
-            semantic_idioms=self.semantic_idioms,
-            coarse_only=self.coarse_only,
-            memo=pred_memo,
-        )
-        elapsed = time.perf_counter() - start
-        self.tracker.merge(local)
-        signature = RecoveredSignature(
-            selector=selector,
-            param_types=tuple(inferred.param_types),
-            language=inferred.language,
-            elapsed_seconds=elapsed,
-            fired_rules=tuple(inferred.fired_rules),
-            confidences=tuple(inferred.confidences),
-        )
-        if inf_memo is not None and inf_key is not None:
-            inf_memo.put(
-                inf_key,
-                InferenceRecord.from_inference(
-                    signature.param_types,
-                    signature.language,
-                    signature.fired_rules,
-                    signature.confidences,
-                    local.counts,
-                    local.conflicts,
-                ),
-            )
-        return signature
+    def _replay(self, record, selector: int) -> RecoveredSignature:
+        """A memoized function's signature, its rule activity replayed."""
+        self.tracker.merge(record.rule_counts)
+        for rule_id, count in record.conflicts.items():
+            self.tracker.conflict(rule_id, count)
+        return record.to_signature(selector)
 
     def _diagnose(
         self,

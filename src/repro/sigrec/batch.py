@@ -15,10 +15,10 @@ across cores.  :class:`BatchRecovery` composes four layers:
    :class:`~repro.sigrec.cache.FunctionMemo` (plus an on-disk tier
    under ``<cache_dir>/fnmemo``), so clone-heavy corpora analyze each
    shared function body once per process / once per cache directory.
-   An :class:`~repro.sigrec.cache.InferenceMemo` rides alongside it
-   (disk tier under ``<cache_dir>/infmemo``): when a body's preimage
-   differs but its canonical event stream matches, TASE still runs yet
-   the type-inference pass is replayed from the memo.
+   An :class:`~repro.sigrec.cache.InferenceMemo` rides alongside it in
+   the same directory: when a body's preimage differs but its canonical
+   event stream matches, TASE still runs yet the type-inference pass is
+   replayed from the memo.
 4. **Work-stealing scheduler** — cache misses become (contract,
    selector-group) *units* on one shared queue drained by a
    ``ProcessPoolExecutor`` via ``submit``/``as_completed``: a free
@@ -56,7 +56,13 @@ from repro.obs import (
 from repro.obs.ledger import RunLedger
 from repro.obs.slowlog import SlowLog
 from repro.sigrec.api import RecoveredSignature, SigRec
-from repro.sigrec.cache import FunctionMemo, InferenceMemo, ResultCache
+from repro.sigrec.cache import (
+    ContentStore,
+    FunctionMemo,
+    InferenceMemo,
+    ResultCache,
+    options_fingerprint,
+)
 from repro.sigrec.selectors import extract_selectors
 
 #: Default selector count above which one contract splits into several
@@ -69,64 +75,59 @@ DEFAULT_UNIT_SIZE = 8
 #: (job index, unit index, bytecode, only, exclude).
 _Unit = Tuple[int, int, bytes, Optional[FrozenSet[int]], FrozenSet[int]]
 
-#: Per-process shared function memos: (fingerprint, memo_dir) ->
-#: (run token, memo).  Living at module level makes the memo survive
-#: across the many short-lived ``SigRec`` instances a worker constructs
-#: — that persistence is the whole point: the Nth unit with a familiar
-#: function body skips its TASE shard entirely.  The token scopes the
-#: *memory* tier to one ``recover_all`` call: a forked worker inherits
-#: the parent's module state, so without the token a serial run would
-#: pre-warm a later parallel run's workers and serial/parallel counter
-#: aggregates would silently diverge.  Cross-run reuse is the on-disk
-#: tier's job (``memo_dir``), which is deliberately token-free.
-_WORKER_MEMOS: Dict[
-    Tuple[str, Optional[str]], Tuple[str, FunctionMemo]
-] = {}
-
-#: Per-process shared inference memos, with the same (fingerprint,
-#: directory) keying and run-token scoping as :data:`_WORKER_MEMOS`.
-#: Kept separate because the two memos have independent directories and
-#: one can be disabled without the other.
-_WORKER_INF_MEMOS: Dict[
-    Tuple[str, Optional[str]], Tuple[str, InferenceMemo]
+#: Per-process shared memo stores: (store kind, fingerprint, directory)
+#: -> (run token, store).  Living at module level makes the stores
+#: survive across the many short-lived ``SigRec`` instances a worker
+#: constructs — that persistence is the whole point: the Nth unit with a
+#: familiar function body skips its TASE shard (function memo) or its
+#: inference (inference memo).  The token scopes the *memory* tier to
+#: one ``recover_all`` call: a forked worker inherits the parent's module
+#: state, so without the token a serial run would pre-warm a later
+#: parallel run's workers and serial/parallel counter aggregates would
+#: silently diverge.  Cross-run reuse is the on-disk tier's job
+#: (``memo_dir``), which is deliberately token-free.
+_WORKER_STORES: Dict[
+    Tuple[type, str, Optional[str]], Tuple[str, ContentStore]
 ] = {}
 
 
-def _worker_memo(
-    options: Dict[str, object], memo_dir: Optional[str], token: str
-) -> FunctionMemo:
-    memo = FunctionMemo(options, directory=memo_dir)
-    key = (memo.fingerprint, memo_dir)
-    held = _WORKER_MEMOS.get(key)
-    if held is not None and held[0] == token:
-        return held[1]
-    _WORKER_MEMOS[key] = (token, memo)
-    return memo
+def _worker_store(
+    kind: type,
+    options: Dict[str, object],
+    memo_dir: Optional[str],
+    token: str,
+) -> ContentStore:
+    key = (kind, options_fingerprint(options), memo_dir)
+    held = _WORKER_STORES.get(key)
+    if held is None or held[0] != token:
+        held = _WORKER_STORES[key] = (token, kind(options, directory=memo_dir))
+    return held[1]
 
 
-def _worker_inf_memo(
-    options: Dict[str, object], inf_memo_dir: Optional[str], token: str
-) -> InferenceMemo:
-    memo = InferenceMemo(options, directory=inf_memo_dir)
-    key = (memo.fingerprint, inf_memo_dir)
-    held = _WORKER_INF_MEMOS.get(key)
-    if held is not None and held[0] == token:
-        return held[1]
-    _WORKER_INF_MEMOS[key] = (token, memo)
-    return memo
+@dataclass(frozen=True)
+class UnitOutcome:
+    """What one scheduler unit sends home from its worker."""
+
+    job_index: int
+    unit_index: int
+    signatures: List[RecoveredSignature]
+    counts: Dict[str, int]  # the unit's rule-fire counts
+    metrics: Optional[dict]  # the unit's serialized metrics registry
+    elapsed: float
+    pid: int
+    memo: Tuple[int, int]  # function-memo (hits, misses) delta
+    inference_memo: Tuple[int, int]  # inference-memo (hits, misses) delta
+    obs: Optional[dict]  # ledger records, spans, profile, diagnostics
 
 
 def _analyze_unit(
     options: Dict[str, object],
     collect_metrics: bool,
     memo_dir: Optional[str],
-    inf_memo_dir: Optional[str],
     token: str,
     obs_opts: Dict[str, object],
     unit: _Unit,
-) -> Tuple[int, int, List[RecoveredSignature], Dict[str, int],
-           Optional[dict], float, int, Tuple[int, int, int, int],
-           Optional[dict]]:
+) -> UnitOutcome:
     """Worker entry point: one scheduler unit, a fresh tool, delta counts.
 
     Top-level so it pickles for the process pool; also used verbatim by
@@ -135,18 +136,17 @@ def _analyze_unit(
     returns the serialized document, which the parent merges — counters
     are additive, so the aggregate equals a serial run's (the same
     pattern as the per-unit :class:`RuleTracker` merge).  The elapsed
-    wall time, worker pid and the unit's (memo hits, memo misses,
-    inference-memo hits, inference-memo misses) delta ride along for
-    trace events, steal accounting and the batch stats — the memo
-    numbers come from the memos' own counters so they survive
+    wall time, worker pid and each memo's (hits, misses) delta ride
+    along for trace events, steal accounting and the batch stats — the
+    memo numbers come from the stores' own counters so they survive
     metrics-free runs.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
     (run-ledger records), ``"spans"`` (the unit's span tree, for the
     slowlog) and ``"profiler"`` (a mode string enabling hot-loop
-    attribution).  Whatever is enabled rides home in the final tuple
-    slot as plain lists/dicts, merged additively by the parent — the
-    same ship-the-document pattern as the metrics registry.
+    attribution).  Whatever is enabled rides home in ``obs`` as plain
+    lists/dicts, merged additively by the parent — the same
+    ship-the-document pattern as the metrics registry.
     """
     job_index, unit_index, bytecode, only, exclude = unit
     registry = MetricsRegistry() if collect_metrics else None
@@ -160,42 +160,24 @@ def _analyze_unit(
         metrics=registry, tracer=tracer, ledger=ledger, profiler=profiler,
         **options,
     )
-    memo = None
-    probed_before = (0, 0)
-    if tool.memo:
-        memo = _worker_memo(tool.options(), memo_dir, token)
-        tool.set_function_memo(memo)
-        probed_before = (memo.hits, memo.misses)
-        # The shared memo reports into whichever unit is running; a
-        # worker processes one unit at a time, so this is race-free.
-        memo.metrics = registry if registry is not None else NULL_REGISTRY
-    inf_memo = None
-    inf_before = (0, 0)
-    if tool.inference_memo:
-        inf_memo = _worker_inf_memo(tool.options(), inf_memo_dir, token)
-        tool.set_inference_memo(inf_memo)
-        inf_before = (inf_memo.hits, inf_memo.misses)
-        inf_memo.metrics = (
-            registry if registry is not None else NULL_REGISTRY
-        )
+    before = {}
+    for kind, enabled in (
+        (FunctionMemo, tool.memo), (InferenceMemo, tool.inference_memo)
+    ):
+        if enabled:
+            store = _worker_store(kind, options, memo_dir, token)
+            tool.attach_store(store)
+            # The shared store reports into whichever unit is running; a
+            # worker processes one unit at a time, so this is race-free.
+            store.metrics = registry if registry is not None else NULL_REGISTRY
+            before[kind] = (store, store.hits, store.misses)
     start = time.perf_counter()
     signatures = tool.recover(bytecode, only=only, exclude=exclude)
     elapsed = time.perf_counter() - start
-    fn_delta = (0, 0)
-    if memo is not None:
-        memo.metrics = NULL_REGISTRY
-        fn_delta = (
-            memo.hits - probed_before[0], memo.misses - probed_before[1]
-        )
-    inf_delta = (0, 0)
-    if inf_memo is not None:
-        inf_memo.metrics = NULL_REGISTRY
-        inf_delta = (
-            inf_memo.hits - inf_before[0], inf_memo.misses - inf_before[1]
-        )
-    probed = fn_delta + inf_delta
-    counts = {r: c for r, c in tool.tracker.counts.items() if c}
-    doc = registry.to_dict() if registry is not None else None
+    probed = {}
+    for kind, (store, hits, misses) in before.items():
+        store.metrics = NULL_REGISTRY
+        probed[kind] = (store.hits - hits, store.misses - misses)
     obs: Optional[dict] = None
     if ledger is not None or tracer is not None or profiler is not None:
         obs = {
@@ -207,8 +189,18 @@ def _analyze_unit(
                 for d in tool.last_diagnostics
             ],
         }
-    return (job_index, unit_index, signatures, counts, doc, elapsed,
-            os.getpid(), probed, obs)
+    return UnitOutcome(
+        job_index=job_index,
+        unit_index=unit_index,
+        signatures=signatures,
+        counts={r: c for r, c in tool.tracker.counts.items() if c},
+        metrics=registry.to_dict() if registry is not None else None,
+        elapsed=elapsed,
+        pid=os.getpid(),
+        memo=probed.get(FunctionMemo, (0, 0)),
+        inference_memo=probed.get(InferenceMemo, (0, 0)),
+        obs=obs,
+    )
 
 
 @dataclass
@@ -313,11 +305,10 @@ class BatchRecovery:
     statistics; one is created with defaults when omitted.  ``workers``
     is the process-pool size (``None`` means ``os.cpu_count()``; ``0``
     means serial in-process).  ``cache_dir`` enables the persistent
-    result cache plus the on-disk function-body memo tier (under
-    ``<cache_dir>/fnmemo``) and the on-disk inference-memo tier (under
-    ``<cache_dir>/infmemo``).  ``unit_size`` is the selector count above
-    which one contract splits into several scheduler units (``0``
-    disables splitting).
+    result cache plus the on-disk tiers of both memos, which share
+    ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).  ``unit_size`` is the
+    selector count above which one contract splits into several
+    scheduler units (``0`` disables splitting).
     """
 
     def __init__(
@@ -351,11 +342,6 @@ class BatchRecovery:
         )
         self.memo_dir: Optional[str] = (
             os.path.join(cache_dir, "fnmemo") if cache_dir is not None else None
-        )
-        self.inf_memo_dir: Optional[str] = (
-            os.path.join(cache_dir, "infmemo")
-            if cache_dir is not None
-            else None
         )
         self.stats = BatchStats()
 
@@ -524,7 +510,6 @@ class BatchRecovery:
             self.tool.options(),
             self.metrics is not NULL_REGISTRY,
             self.memo_dir,
-            self.inf_memo_dir,
             os.urandom(8).hex(),  # memory-tier scope: this run only
             obs_opts,
         )
@@ -534,11 +519,11 @@ class BatchRecovery:
             else:
                 outcomes = [analyze(unit) for unit in units]
             for outcome in outcomes:
-                stats.memo_hits += outcome[7][0]
-                stats.memo_misses += outcome[7][1]
-                stats.inference_memo_hits += outcome[7][2]
-                stats.inference_memo_misses += outcome[7][3]
-            self._assemble(jobs, units, outcomes, finished, observing)
+                stats.memo_hits += outcome.memo[0]
+                stats.memo_misses += outcome.memo[1]
+                stats.inference_memo_hits += outcome.inference_memo[0]
+                stats.inference_memo_misses += outcome.inference_memo[1]
+            self._assemble(jobs, outcomes, finished, observing)
 
         if deduplicate:
             by_code = {code: finished[i] for i, code in enumerate(jobs)}
@@ -563,7 +548,7 @@ class BatchRecovery:
 
     def _drain_parallel(
         self, analyze, units: List[_Unit]
-    ) -> Tuple[List[tuple], int]:
+    ) -> Tuple[List[UnitOutcome], int]:
         """Shared-queue draining: submit every unit, collect as done.
 
         ``submit``/``as_completed`` *is* the work-stealing: the executor
@@ -573,24 +558,21 @@ class BatchRecovery:
         the fixed pre-sharding (contiguous chunks per worker) the old
         scheduler would have used.
         """
-        outcomes: List[tuple] = []
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {
                 pool.submit(analyze, unit): position
                 for position, unit in enumerate(units)
             }
-            order: List[tuple] = [None] * len(units)  # type: ignore[list-item]
+            outcomes: List[UnitOutcome] = [None] * len(units)  # type: ignore
             for future in as_completed(futures):
-                order[futures[future]] = future.result()
-            outcomes = list(order)
+                outcomes[futures[future]] = future.result()
         # Pre-shard slot i*W//N vs the slot (pid, by first appearance in
         # submission order) that actually executed the unit.
         pids: Dict[int, int] = {}
         steals = 0
         chunk = max(1, -(-len(units) // self.workers))  # ceil division
         for position, outcome in enumerate(outcomes):
-            pid = outcome[6]
-            slot = pids.setdefault(pid, len(pids))
+            slot = pids.setdefault(outcome.pid, len(pids))
             if slot != min(position // chunk, self.workers - 1):
                 steals += 1
         return outcomes, steals
@@ -598,29 +580,26 @@ class BatchRecovery:
     def _assemble(
         self,
         jobs: List[bytes],
-        units: List[_Unit],
-        outcomes: List[tuple],
+        outcomes: List[UnitOutcome],
         finished: Dict[int, List[RecoveredSignature]],
         observing: bool,
     ) -> None:
         """Fold per-unit outcomes back into per-contract results."""
-        expected: Dict[int, int] = {}
-        for job_index, *_rest in units:
-            expected[job_index] = expected.get(job_index, 0) + 1
         partial_sigs: Dict[int, List[RecoveredSignature]] = {}
         partial_counts: Dict[int, Dict[str, int]] = {}
         partial_elapsed: Dict[int, float] = {}
-        for (job_index, unit_index, signatures, counts, doc, elapsed,
-             _pid, _memo, obs) in outcomes:
-            partial_sigs.setdefault(job_index, []).extend(signatures)
+        for outcome in outcomes:
+            job_index, unit_index = outcome.job_index, outcome.unit_index
+            elapsed, obs = outcome.elapsed, outcome.obs
+            partial_sigs.setdefault(job_index, []).extend(outcome.signatures)
             merged = partial_counts.setdefault(job_index, {})
-            for rule, count in counts.items():
+            for rule, count in outcome.counts.items():
                 merged[rule] = merged.get(rule, 0) + count
             partial_elapsed[job_index] = (
                 partial_elapsed.get(job_index, 0.0) + elapsed
             )
-            if doc is not None:
-                self.metrics.merge(doc)
+            if outcome.metrics is not None:
+                self.metrics.merge(outcome.metrics)
             if obs is not None:
                 # Outcomes arrive in unit-submission order, so the
                 # merged ledger/profiles are deterministic for a given

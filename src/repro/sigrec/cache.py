@@ -1,27 +1,34 @@
-"""Persistent, content-addressed recovery-result cache.
+"""Content-addressed caches: one store behind all three caching tiers.
 
 At chain scale the corpus barely changes between runs (the paper's 37M
 deployed contracts collapse to 368,679 unique bytecodes, and redeploys
-are rare), so re-running TASE over bytecodes analyzed yesterday is pure
-waste.  This cache stores the finished :class:`RecoveredSignature` lists
-on disk, keyed by
+are rare), and distinct bytecodes overwhelmingly share function bodies.
+So recovery caches at three tiers, each a :class:`ContentStore`:
 
-* the SHA-256 of the runtime bytecode (content addressing — the same
-  code deployed at a thousand addresses is one entry),
-* a fingerprint of the engine options (``loop_bound`` etc. change what
-  TASE observes, so results under different options never mix), and
-* a cache schema version (bumped whenever the serialized layout or the
-  rule semantics change, invalidating every stale entry at once).
+* :class:`ResultCache` — whole-contract results, keyed by the SHA-256
+  of the runtime bytecode (the same code deployed at a thousand
+  addresses is one entry), disk only;
+* :class:`FunctionMemo` — one function's inference, keyed by the bytes
+  that provably determine it (the dispatcher spine + closed region
+  preimage from ``ContractAnalysis.function_preimage``, which includes
+  the selector), so a clone-heavy corpus pays for each shared body once;
+* :class:`InferenceMemo` — one function's inference, keyed by the
+  canonical, selector-independent digest of its TASE event stream
+  (:func:`repro.sigrec.events.events_digest`): TASE still runs, but
+  functions whose event streams normalize identically share one
+  inference, even across unrelated contracts.
 
-Entries are one JSON file each, laid out as::
+Every key folds in a fingerprint of the engine options and the schema
+versions (:func:`options_fingerprint`), so results under different
+options never mix.  Entries are one JSON file each, laid out as::
 
-    <cache_dir>/<options fingerprint>/<sha[:2]>/<sha>.json
+    <directory>/<prefix><options fingerprint>/<key[:2]>/<key>.json
 
-so changing any engine option simply lands in a sibling tree and an
-``rm -rf`` of one fingerprint directory drops exactly one configuration.
-Each entry also records the per-bytecode rule-usage counts, so a warm
-run can replay them into the parent :class:`RuleTracker` and the Fig.-19
-statistics come out identical to a cold run.
+with prefix ``""`` for the result cache, ``fn-`` for the function memo
+and ``inf-`` for the inference memo, so the tiers can share one
+directory (both memos share ``memo_dir``) and an ``rm -rf`` of one
+subtree drops exactly one tier of one configuration.  Every entry carries the rule-usage counts of the work it
+saved, so a replay reproduces the Fig.-19 statistics of a cold run.
 """
 
 from __future__ import annotations
@@ -73,407 +80,22 @@ def options_fingerprint(options: Dict[str, object]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _signature_to_dict(sig: RecoveredSignature) -> dict:
-    return {
-        "selector": sig.selector,
-        "param_types": list(sig.param_types),
-        "language": sig.language,
-        "elapsed_seconds": sig.elapsed_seconds,
-        "fired_rules": list(sig.fired_rules),
-        "confidences": list(sig.confidences),
-    }
-
-
-def _signature_from_dict(data: dict) -> RecoveredSignature:
-    # ``elapsed_seconds`` is deliberately NOT replayed: a cache hit does
-    # no inference work, so reporting the original run's timing would
-    # corrupt warm-run timing statistics.  The stored value (the cost of
-    # the original analysis) stays on disk for forensics.
-    return RecoveredSignature(
-        selector=data["selector"],
-        param_types=tuple(data["param_types"]),
-        language=data["language"],
-        elapsed_seconds=0.0,
-        fired_rules=tuple(data["fired_rules"]),
-        confidences=tuple(data["confidences"]),
-    )
-
-
-class ResultCache:
-    """On-disk cache of per-bytecode recovery results.
-
-    ``get``/``put`` are safe under concurrent writers: entries are
-    written to a temporary file and atomically renamed into place, and a
-    corrupt or mismatched entry is treated as a miss, never an error.
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        options: Dict[str, object],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.directory = directory
-        self.options = dict(options)
-        self.fingerprint = options_fingerprint(self.options)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.hits = 0
-        self.misses = 0
-        #: Misses caused by a *present but stale* entry (schema or
-        #: fingerprint mismatch) rather than plain absence.
-        self.invalidations = 0
-
-    # ------------------------------------------------------------------
-
-    def _entry_path(self, bytecode: bytes) -> str:
-        sha = hashlib.sha256(bytecode).hexdigest()
-        return os.path.join(
-            self.directory, self.fingerprint, sha[:2], f"{sha}.json"
-        )
-
-    def get(
-        self, bytecode: bytes
-    ) -> Optional[Tuple[List[RecoveredSignature], Dict[str, int]]]:
-        """The cached (signatures, rule counts) for ``bytecode``, or None."""
-        path = self._entry_path(bytecode)
-        present = False
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                present = True
-                entry = json.load(handle)
-            if (
-                entry.get("schema") != SCHEMA_VERSION
-                or entry.get("fingerprint") != self.fingerprint
-            ):
-                raise ValueError("stale cache entry")
-            signatures = [
-                _signature_from_dict(d) for d in entry["signatures"]
-            ]
-            rule_counts = {
-                str(rule): int(count)
-                for rule, count in entry.get("rule_counts", {}).items()
-            }
-        except (OSError, ValueError, KeyError, TypeError):
-            # An entry that existed but failed validation is an
-            # *invalidation* (stale schema/fingerprint, corrupt JSON);
-            # plain absence is an ordinary miss.
-            self.misses += 1
-            if present:
-                self.invalidations += 1
-            metrics = self.metrics
-            if metrics is not NULL_REGISTRY:
-                metrics.counter("cache.misses").inc()
-                if present:
-                    metrics.counter("cache.invalidations").inc()
-            return None
-        self.hits += 1
-        self.metrics.counter("cache.hits").inc()
-        return signatures, rule_counts
-
-    def attach_profile(self, bytecode: bytes, profile: dict) -> bool:
-        """Add a profile document to an existing entry, atomically.
-
-        Rewrites the entry file with the profile attached, preserving
-        every other field (including the original elapsed timings).
-        Returns False when there is no valid entry to attach to — the
-        caller should ``put`` a full entry instead.
-        """
-        path = self._entry_path(bytecode)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if (
-                entry.get("schema") != SCHEMA_VERSION
-                or entry.get("fingerprint") != self.fingerprint
-            ):
-                return False
-        except (OSError, ValueError):
-            return False
-        entry["profile"] = profile
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_path, path)
-            self.metrics.counter("cache.writes").inc()
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return True
-
-    def get_profile(self, bytecode: bytes) -> Optional[dict]:
-        """The cached contract-profile document, or ``None``.
-
-        Profiles ride in the same entry file as the signatures; an
-        entry written before profiling (or by a partial recovery) has
-        none, and a stale/corrupt entry reads as absent.
-        """
-        try:
-            with open(self._entry_path(bytecode), "r", encoding="utf-8") as f:
-                entry = json.load(f)
-            if (
-                entry.get("schema") != SCHEMA_VERSION
-                or entry.get("fingerprint") != self.fingerprint
-            ):
-                return None
-            profile = entry.get("profile")
-            return profile if isinstance(profile, dict) else None
-        except (OSError, ValueError):
-            return None
-
-    def put(
-        self,
-        bytecode: bytes,
-        signatures: List[RecoveredSignature],
-        rule_counts: Dict[str, int],
-        profile: Optional[dict] = None,
-    ) -> None:
-        path = self._entry_path(bytecode)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
-            "options": self.options,
-            "signatures": [_signature_to_dict(s) for s in signatures],
-            # Only non-zero counters are stored; zeros are implied.
-            "rule_counts": {r: c for r, c in rule_counts.items() if c},
-        }
-        if profile is not None:
-            entry["profile"] = profile
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_path, path)
-            self.metrics.counter("cache.writes").inc()
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    # ------------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def entry_count(self) -> int:
-        """Entries on disk for this fingerprint (walks the tree)."""
-        root = os.path.join(self.directory, self.fingerprint)
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(root):
-            count += sum(1 for f in filenames if f.endswith(".json"))
-        return count
-
-
-# ----------------------------------------------------------------------
-# Function-body memoization (the middle cache tier).
-#
-# The contract cache above only helps when whole bytecodes repeat.  But
-# *distinct* bytecodes overwhelmingly share function bodies — proxies,
-# OpenZeppelin mixins, factory clones differing only in a constant or a
-# metadata trailer.  The function memo keys one selector's recovery by
-# the bytes that provably determine it (the dispatcher spine + closed
-# region preimage from ``ContractAnalysis.function_preimage``, the
-# selector, and the engine-options fingerprint), so a clone-heavy corpus
-# pays for each shared body once.
-
-
-@dataclass(frozen=True)
-class FunctionRecord:
-    """One memoized function recovery: the signature plus the rule
-    activity it generated, so a hit replays Fig.-19 counters exactly."""
-
-    selector: int
-    param_types: Tuple[str, ...]
-    language: str
-    fired_rules: Tuple[str, ...]
-    confidences: Tuple[str, ...]  # "high" / "medium" / "low" per param
-    rule_counts: Dict[str, int]
-    conflicts: Dict[str, int]
-
-    def to_signature(self) -> RecoveredSignature:
-        # elapsed_seconds=0.0 for the same reason as the contract cache:
-        # a memo hit does no inference work.
-        return RecoveredSignature(
-            selector=self.selector,
-            param_types=tuple(self.param_types),
-            language=self.language,
-            elapsed_seconds=0.0,
-            fired_rules=tuple(self.fired_rules),
-            confidences=tuple(self.confidences),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "selector": self.selector,
-            "param_types": list(self.param_types),
-            "language": self.language,
-            "fired_rules": list(self.fired_rules),
-            "confidences": list(self.confidences),
-            "rule_counts": {r: c for r, c in self.rule_counts.items() if c},
-            "conflicts": {r: c for r, c in self.conflicts.items() if c},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionRecord":
-        return cls(
-            selector=int(data["selector"]),
-            param_types=tuple(str(t) for t in data["param_types"]),
-            language=str(data["language"]),
-            fired_rules=tuple(str(r) for r in data["fired_rules"]),
-            confidences=tuple(str(c) for c in data["confidences"]),
-            rule_counts={
-                str(r): int(c) for r, c in data.get("rule_counts", {}).items()
-            },
-            conflicts={
-                str(r): int(c) for r, c in data.get("conflicts", {}).items()
-            },
-        )
-
-
-class FunctionMemo:
-    """Two-tier (in-process LRU + optional on-disk) function-body memo.
-
-    Keys are computed by :meth:`key_for` from the region preimage; the
-    options fingerprint is folded into both the key and the disk layout
-    (``<dir>/fn-<fingerprint>/<key[:2]>/<key>.json``) so results under
-    different engine options never mix.  Disk writes are atomic
-    (tmp + rename) and corrupt or stale entries read as misses.
-    """
-
-    def __init__(
-        self,
-        options: Dict[str, object],
-        directory: Optional[str] = None,
-        capacity: int = 65536,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.fingerprint = options_fingerprint(dict(options))
-        self.directory = directory
-        self.capacity = capacity
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._memory: "OrderedDict[str, FunctionRecord]" = OrderedDict()
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.misses = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------
-
-    def key_for(self, preimage: bytes) -> str:
-        """The memo key for one function's determining bytes."""
-        digest = hashlib.sha256()
-        digest.update(self.fingerprint.encode("ascii"))
-        digest.update(b"\x00")
-        digest.update(preimage)
-        return digest.hexdigest()
-
-    def _entry_path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(
-            self.directory, f"fn-{self.fingerprint}", key[:2], f"{key}.json"
-        )
-
-    def get(self, key: str) -> Optional[FunctionRecord]:
-        record = self._memory.get(key)
-        if record is not None:
-            self._memory.move_to_end(key)
-            self.hits_memory += 1
-            self.metrics.counter("memo.hits", tier="memory").inc()
-            return record
-        if self.directory is not None:
-            try:
-                with open(self._entry_path(key), "r", encoding="utf-8") as f:
-                    entry = json.load(f)
-                if entry.get("schema") != SCHEMA_VERSION:
-                    raise ValueError("stale memo entry")
-                record = FunctionRecord.from_dict(entry["record"])
-            except (OSError, ValueError, KeyError, TypeError):
-                record = None
-            if record is not None:
-                self._remember(key, record)
-                self.hits_disk += 1
-                self.metrics.counter("memo.hits", tier="disk").inc()
-                return record
-        self.misses += 1
-        self.metrics.counter("memo.misses").inc()
-        return None
-
-    def put(self, key: str, record: FunctionRecord) -> None:
-        self._remember(key, record)
-        self.writes += 1
-        self.metrics.counter("memo.writes").inc()
-        if self.directory is None:
-            return
-        path = self._entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {"schema": SCHEMA_VERSION, "record": record.to_dict()}
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def _remember(self, key: str, record: FunctionRecord) -> None:
-        self._memory[key] = record
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        return self.hits_memory + self.hits_disk
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-# ----------------------------------------------------------------------
-# Inference memoization (the third cache tier).
-#
-# The function memo above keys on the *bytecode preimage* of a function
-# body, so it only helps when the dispatcher spine and closed region
-# bytes repeat exactly.  Clone-heavy corpora routinely defeat that —
-# constants, metadata, and region ids differ while the recorded *event
-# stream* is equivalent.  The inference memo sits one layer deeper: it
-# keys an :class:`InferenceRecord` by the canonical, selector-independent
-# digest of ``FunctionEvents`` (:func:`repro.sigrec.events.events_digest`),
-# so any two functions whose event streams normalize identically share
-# one inference, even across unrelated contracts.  TASE still runs; only
-# the rule-inference step is skipped, with its rule/conflict counters
-# replayed exactly (the Fig.-19 parity invariant).
+def _counts(value) -> Dict[str, int]:
+    """A stored rule -> count object; any other shape is a bad entry."""
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return {str(rule): int(count) for rule, count in value.items()}
 
 
 @dataclass(frozen=True)
 class InferenceRecord:
     """One memoized inference product, minus the selector.
 
-    The event digest is selector-independent (two different selectors
-    with equivalent bodies share an entry), so the selector is supplied
-    at replay time by :meth:`to_signature`.
+    Both memos store it: the function-memo key already encodes the
+    selector and the inference-memo key is selector-independent, so the
+    selector is supplied at replay time by :meth:`to_signature`.  The
+    rule and conflict counts let a replay reproduce the Fig.-19
+    counters exactly.
     """
 
     param_types: Tuple[str, ...]
@@ -483,28 +105,18 @@ class InferenceRecord:
     rule_counts: Dict[str, int]
     conflicts: Dict[str, int]
 
-    def to_signature(self, selector: int) -> RecoveredSignature:
-        # elapsed_seconds=0.0 for the same reason as the other tiers:
-        # a memo hit does no inference work.
+    def to_signature(
+        self, selector: int, elapsed_seconds: float = 0.0
+    ) -> RecoveredSignature:
+        # A replay does no inference work, so it reports 0.0 seconds
+        # rather than the original run's timing.
         return RecoveredSignature(
             selector=selector,
             param_types=tuple(self.param_types),
             language=self.language,
-            elapsed_seconds=0.0,
+            elapsed_seconds=elapsed_seconds,
             fired_rules=tuple(self.fired_rules),
             confidences=tuple(self.confidences),
-        )
-
-    def to_function_record(self, selector: int) -> FunctionRecord:
-        """Re-materialize a function-memo record from this entry."""
-        return FunctionRecord(
-            selector=selector,
-            param_types=tuple(self.param_types),
-            language=self.language,
-            fired_rules=tuple(self.fired_rules),
-            confidences=tuple(self.confidences),
-            rule_counts=dict(self.rule_counts),
-            conflicts=dict(self.conflicts),
         )
 
     @classmethod
@@ -543,25 +155,68 @@ class InferenceRecord:
             language=str(data["language"]),
             fired_rules=tuple(str(r) for r in data["fired_rules"]),
             confidences=tuple(str(c) for c in data["confidences"]),
-            rule_counts={
-                str(r): int(c) for r, c in data.get("rule_counts", {}).items()
-            },
-            conflicts={
-                str(r): int(c) for r, c in data.get("conflicts", {}).items()
-            },
+            rule_counts=_counts(data.get("rule_counts", {})),
+            conflicts=_counts(data.get("conflicts", {})),
         )
 
 
-class InferenceMemo:
-    """Two-tier (in-process LRU + optional on-disk) inference memo.
+class LRU:
+    """A bounded map evicting the least recently used key.
 
-    The layout mirrors :class:`FunctionMemo`: keys fold the options
-    fingerprint (:meth:`key_for`), disk entries live under
-    ``<dir>/inf-<fingerprint>/<key[:2]>/<key>.json``, writes are atomic
-    (tmp + rename), and corrupt or stale entries read as misses.
-    Metrics are published under the ``infmemo.*`` names so the function
-    memo's ``memo.*`` series stay comparable across versions.
+    Values must not be ``None`` (that is how :meth:`get` reports a
+    miss); capacity 0 holds nothing.
     """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._items: "OrderedDict[object, object]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key):
+        value = self._items.get(key)
+        if value is not None:
+            self._items.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        items = self._items
+        items[key] = value
+        items.move_to_end(key)
+        while len(items) > self.capacity:
+            items.popitem(last=False)
+
+
+def _memo_series(name: str) -> Dict[str, Tuple[str, Dict[str, str]]]:
+    """The ``<name>.*`` metric series of a two-tier memo."""
+    return {
+        "memory": (f"{name}.hits", {"tier": "memory"}),
+        "disk": (f"{name}.hits", {"tier": "disk"}),
+        "miss": (f"{name}.misses", {}),
+        "write": (f"{name}.writes", {}),
+    }
+
+
+class ContentStore:
+    """An in-process LRU over an optional atomic disk tier.
+
+    Subclasses differ only in :attr:`prefix` (their disk subtree),
+    :attr:`series` (their metrics) and codec (:meth:`_encode` /
+    :meth:`_decode`; :class:`InferenceRecord` unless overridden).
+    ``capacity`` 0 makes the store disk-only; ``directory`` ``None``
+    makes it memory-only.  Disk writes are atomic (tmp + rename), so
+    concurrent writers are safe, and each entry is stamped with the
+    schema version and options fingerprint: a corrupt, stale or
+    mis-shaped entry is treated as a miss, never an error.
+    """
+
+    #: Disk subtree: ``<directory>/<prefix><fingerprint>/``.
+    prefix = ""
+    #: Probe event -> (counter name, labels); unlisted events are not
+    #: published.  Events: "memory"/"disk" hits, "miss", "stale" (a
+    #: present entry that failed validation, also a miss) and "write".
+    series: Dict[str, Tuple[str, Dict[str, str]]] = {}
 
     def __init__(
         self,
@@ -570,85 +225,126 @@ class InferenceMemo:
         capacity: int = 65536,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.fingerprint = options_fingerprint(dict(options))
+        self.options = dict(options)
+        self.fingerprint = options_fingerprint(self.options)
         self.directory = directory
-        self.capacity = capacity
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._memory: "OrderedDict[str, InferenceRecord]" = OrderedDict()
+        self._memory = LRU(capacity)
         self.hits_memory = 0
         self.hits_disk = 0
         self.misses = 0
+        #: Misses caused by a *present but invalid* entry (stale schema
+        #: or fingerprint, corrupt JSON, wrong shape) rather than absence.
+        self.invalidations = 0
         self.writes = 0
 
-    # ------------------------------------------------------------------
-
-    def key_for(self, events_digest: str) -> str:
-        """The memo key for one canonical event-stream digest."""
+    def key_for(self, data: bytes) -> str:
+        """The key for the bytes that determine a stored value."""
         digest = hashlib.sha256()
         digest.update(self.fingerprint.encode("ascii"))
         digest.update(b"\x00")
-        digest.update(events_digest.encode("ascii"))
+        digest.update(data)
         return digest.hexdigest()
+
+    def get(self, key):
+        """The value stored under ``key``, or ``None`` on a miss."""
+        value = self._memory.get(key)
+        if value is not None:
+            self.hits_memory += 1
+            self._count("memory")
+            return value
+        found = self._read(key)
+        if found:
+            value = found[1]
+            self._memory.put(key, value)
+            self.hits_disk += 1
+            self._count("disk")
+            return value
+        self.misses += 1
+        self._count("miss")
+        if found is False:
+            self.invalidations += 1
+            self._count("stale")
+        return None
+
+    def put(self, key, value) -> None:
+        self._memory.put(key, value)
+        self._write(key, value)
+
+    # ------------------------------------------------------------------
 
     def _entry_path(self, key: str) -> str:
         assert self.directory is not None
         return os.path.join(
-            self.directory, f"inf-{self.fingerprint}", key[:2], f"{key}.json"
+            self.directory,
+            f"{self.prefix}{self.fingerprint}",
+            key[:2],
+            f"{key}.json",
         )
 
-    def get(self, key: str) -> Optional[InferenceRecord]:
-        record = self._memory.get(key)
-        if record is not None:
-            self._memory.move_to_end(key)
-            self.hits_memory += 1
-            self.metrics.counter("infmemo.hits", tier="memory").inc()
-            return record
-        if self.directory is not None:
-            try:
-                with open(self._entry_path(key), "r", encoding="utf-8") as f:
-                    entry = json.load(f)
-                if entry.get("schema") != SCHEMA_VERSION:
-                    raise ValueError("stale inference-memo entry")
-                record = InferenceRecord.from_dict(entry["record"])
-            except (OSError, ValueError, KeyError, TypeError):
-                record = None
-            if record is not None:
-                self._remember(key, record)
-                self.hits_disk += 1
-                self.metrics.counter("infmemo.hits", tier="disk").inc()
-                return record
-        self.misses += 1
-        self.metrics.counter("infmemo.misses").inc()
-        return None
+    def _read(self, key):
+        """The one entry reader: ``(entry, decoded value)`` for ``key``.
 
-    def put(self, key: str, record: InferenceRecord) -> None:
-        self._remember(key, record)
-        self.writes += 1
-        self.metrics.counter("infmemo.writes").inc()
+        ``None`` when there is no disk entry, ``False`` when there is
+        one but it is not a JSON object stamped with this schema and
+        fingerprint whose payload decodes.
+        """
         if self.directory is None:
-            return
-        path = self._entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {"schema": SCHEMA_VERSION, "record": record.to_dict()}
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
+            return None
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+            handle = open(self._entry_path(key), "r", encoding="utf-8")
+        except OSError:
+            return None
+        try:
+            with handle:
+                entry = json.load(handle)
+            if (
+                not isinstance(entry, dict)
+                or entry.get("schema") != SCHEMA_VERSION
+                or entry.get("fingerprint") != self.fingerprint
+            ):
+                return False
+            return entry, self._decode(entry)
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
+            return False
 
-    def _remember(self, key: str, record: InferenceRecord) -> None:
-        self._memory[key] = record
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
+    def _write(self, key, value) -> None:
+        """Count one write and, with a disk tier, store ``value``'s entry
+        atomically (tmp + rename): the one writer."""
+        if self.directory is not None:
+            path = self._entry_path(key)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            entry = {
+                "schema": SCHEMA_VERSION,
+                "fingerprint": self.fingerprint,
+                **self._encode(value),
+            }
+            fd, tmp_path = tempfile.mkstemp(
+                dir=os.path.dirname(path), suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(entry, handle)
+                os.replace(tmp_path, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                raise
+        self.writes += 1
+        self._count("write")
+
+    def _count(self, event: str) -> None:
+        series = self.series.get(event)
+        if series is not None and self.metrics is not NULL_REGISTRY:
+            self.metrics.counter(series[0], **series[1]).inc()
+
+    def _encode(self, value) -> dict:
+        return value.to_dict()
+
+    def _decode(self, entry: dict):
+        return InferenceRecord.from_dict(entry)
 
     # ------------------------------------------------------------------
 
@@ -660,3 +356,137 @@ class InferenceMemo:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def _signature_to_dict(sig: RecoveredSignature) -> dict:
+    return {
+        "selector": sig.selector,
+        "param_types": list(sig.param_types),
+        "language": sig.language,
+        "elapsed_seconds": sig.elapsed_seconds,
+        "fired_rules": list(sig.fired_rules),
+        "confidences": list(sig.confidences),
+    }
+
+
+def _signature_from_dict(data: dict) -> RecoveredSignature:
+    # ``elapsed_seconds`` is deliberately NOT replayed: a cache hit does
+    # no inference work, so reporting the original run's timing would
+    # corrupt warm-run timing statistics.  The stored value (the cost of
+    # the original analysis) stays on disk for forensics.
+    return RecoveredSignature(
+        selector=data["selector"],
+        param_types=tuple(data["param_types"]),
+        language=data["language"],
+        elapsed_seconds=0.0,
+        fired_rules=tuple(data["fired_rules"]),
+        confidences=tuple(data["confidences"]),
+    )
+
+
+class ResultCache(ContentStore):
+    """On-disk cache of per-bytecode recovery results.
+
+    Keys are the bytecodes themselves (entries are named by their
+    SHA-256); ``get`` returns ``(signatures, rule counts)``.  An entry
+    may also carry the contract's profile document.
+    """
+
+    series = {
+        "disk": ("cache.hits", {}),
+        "miss": ("cache.misses", {}),
+        "stale": ("cache.invalidations", {}),
+        "write": ("cache.writes", {}),
+    }
+
+    def __init__(
+        self,
+        directory: str,
+        options: Dict[str, object],
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(options, directory, capacity=0, metrics=metrics)
+
+    def put(
+        self,
+        bytecode: bytes,
+        signatures: List[RecoveredSignature],
+        rule_counts: Dict[str, int],
+        profile: Optional[dict] = None,
+    ) -> None:
+        entry = {
+            "options": self.options,
+            "signatures": [_signature_to_dict(s) for s in signatures],
+            # Only non-zero counters are stored; zeros are implied.
+            "rule_counts": {r: c for r, c in rule_counts.items() if c},
+        }
+        if profile is not None:
+            entry["profile"] = profile
+        self._write(bytecode, entry)
+
+    def attach_profile(self, bytecode: bytes, profile: dict) -> bool:
+        """Add a profile document to an existing entry, atomically.
+
+        Rewrites the entry file with the profile attached, preserving
+        every other field (including the original elapsed timings).
+        Returns False when there is no valid entry to attach to — the
+        caller should ``put`` a full entry instead.
+        """
+        found = self._read(bytecode)
+        if not found:
+            return False
+        self._write(bytecode, {**found[0], "profile": profile})
+        return True
+
+    def get_profile(self, bytecode: bytes) -> Optional[dict]:
+        """The cached contract-profile document, or ``None``.
+
+        Profiles ride in the same entry file as the signatures; an
+        entry written before profiling (or by a partial recovery) has
+        none, and a stale/corrupt entry reads as absent.
+        """
+        found = self._read(bytecode)
+        profile = found[0].get("profile") if found else None
+        return profile if isinstance(profile, dict) else None
+
+    def entry_count(self) -> int:
+        """Entries on disk for this fingerprint (walks the tree)."""
+        root = os.path.join(self.directory, self.fingerprint)
+        count = 0
+        for _dirpath, _dirnames, filenames in os.walk(root):
+            count += sum(1 for f in filenames if f.endswith(".json"))
+        return count
+
+    def _entry_path(self, bytecode: bytes) -> str:
+        return super()._entry_path(hashlib.sha256(bytecode).hexdigest())
+
+    def _encode(self, entry: dict) -> dict:
+        return entry  # ``put`` and ``attach_profile`` build the entry
+
+    def _decode(self, entry: dict):
+        return (
+            [_signature_from_dict(d) for d in entry["signatures"]],
+            _counts(entry.get("rule_counts", {})),
+        )
+
+
+class FunctionMemo(ContentStore):
+    """The function-body memo: :class:`InferenceRecord` per region
+    preimage (:meth:`key_for`), under ``<directory>/fn-<fingerprint>/``."""
+
+    prefix = "fn-"
+    series = _memo_series("memo")
+
+
+class InferenceMemo(ContentStore):
+    """The inference memo: :class:`InferenceRecord` per canonical event
+    digest, under ``<directory>/inf-<fingerprint>/``; published as
+    ``infmemo.*`` so the function memo's ``memo.*`` series stay
+    comparable across versions."""
+
+    prefix = "inf-"
+    series = _memo_series("infmemo")
+
+    def key_for(self, events_digest: str) -> str:
+        """The memo key for one canonical event-stream digest."""
+        return super().key_for(events_digest.encode("ascii"))

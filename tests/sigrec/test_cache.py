@@ -8,6 +8,7 @@ import pytest
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
+from repro.obs import MetricsRegistry
 from repro.sigrec.api import RecoveredSignature, SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import ResultCache, options_fingerprint
@@ -223,3 +224,128 @@ def test_analysis_memo_is_bounded():
     for code in codes:
         tool._analyze(code)
     assert len(tool._analysis_memo) == _ANALYSIS_MEMO_SIZE
+
+
+# -- entries with the wrong JSON shape ---------------------------------
+#
+# Valid JSON that is not a valid entry must read as a miss, never raise:
+# one such file would otherwise abort a whole ``recover_all``.
+
+#: How a planted entry is malformed: a whole-file JSON payload, or the
+#: name of a count field replaced by a non-object.
+SHAPES = ["[]", "1", '"x"', "rule_counts", "conflicts"]
+
+#: Every reader of a disk entry: (tier, method).
+READERS = [
+    ("result", "get"),
+    ("result", "get_profile"),
+    ("result", "attach_profile"),
+    ("fnmemo", "get"),
+    ("infmemo", "get"),
+]
+
+#: Each tier's disk subtree prefix, in probe order.
+PREFIXES = {"result": "", "fnmemo": "fn-", "infmemo": "inf-"}
+
+
+def _shapes(tier):
+    # Result entries carry no conflict counts.
+    return [s for s in SHAPES if (tier, s) != ("result", "conflicts")]
+
+
+def _malformed(path, shape):
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
+    if shape in ("rule_counts", "conflicts"):
+        entry[shape] = ["R4"]
+    else:
+        entry = json.loads(shape)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle)
+
+
+def _planted(tmp_path, tier):
+    """A store of ``tier`` (cold memory) plus the key of one entry."""
+    from repro.sigrec.cache import FunctionMemo, InferenceMemo, InferenceRecord
+
+    options = SigRec().options()
+    if tier == "result":
+        key = _code()
+        signature = RecoveredSignature(
+            selector=1, param_types=("uint8",), fired_rules=("R4",),
+            confidences=("high",),
+        )
+        ResultCache(str(tmp_path), options).put(key, [signature], {"R4": 1})
+        return ResultCache(str(tmp_path), options, metrics=MetricsRegistry()), key
+    kind = FunctionMemo if tier == "fnmemo" else InferenceMemo
+    writer = kind(options, directory=str(tmp_path))
+    key = writer.key_for(b"body" if tier == "fnmemo" else "digest")
+    writer.put(key, InferenceRecord(
+        param_types=("uint8",), language="solidity", fired_rules=("R4",),
+        confidences=("high",), rule_counts={"R4": 1}, conflicts={"R15": 1},
+    ))
+    return kind(options, directory=str(tmp_path), metrics=MetricsRegistry()), key
+
+
+@pytest.mark.parametrize(
+    "tier,method,shape",
+    [(t, m, s) for t, m in READERS for s in _shapes(t)],
+)
+def test_wrong_shape_entry_reads_as_a_miss(tmp_path, tier, method, shape):
+    store, key = _planted(tmp_path, tier)
+    _malformed(store._entry_path(key), shape)
+    if method == "get":
+        assert store.get(key) is None
+        assert store.misses == 1
+        if tier == "result":
+            assert store.invalidations == 1
+            assert store.metrics.counter_values()["cache.invalidations"] == 1
+    elif method == "get_profile":
+        assert store.get_profile(key) is None
+    else:
+        assert store.attach_profile(key, {"profile": True}) is False
+
+
+@pytest.mark.parametrize(
+    "tier,shape", [(t, s) for t in PREFIXES for s in _shapes(t)]
+)
+def test_batch_recovers_and_rewrites_wrong_shape_entries(
+    tmp_path, tier, shape
+):
+    """A batch run over a malformed entry of any tier recovers the
+    contract and writes a good entry in its place.  The tiers in front
+    of the malformed one are dropped, so that its entry is probed."""
+    import shutil
+
+    from repro.sigrec.cache import FunctionMemo, InferenceMemo
+
+    code = _code("setData(bytes,uint256[3])")
+    cache_dir = str(tmp_path)
+    cold = BatchRecovery(tool=SigRec(), workers=0, cache_dir=cache_dir)
+    expected = _essence(cold.recover_all([code]))
+    fingerprint = cold.cache.fingerprint
+
+    def subtree(name):
+        root = cache_dir if name == "result" else cold.memo_dir
+        return os.path.join(root, PREFIXES[name] + fingerprint)
+
+    entries = []
+    for dirpath, _dirnames, filenames in os.walk(subtree(tier)):
+        entries += [os.path.join(dirpath, f) for f in filenames]
+    assert entries
+    for path in entries:
+        _malformed(path, shape)
+    for front in list(PREFIXES)[: list(PREFIXES).index(tier)]:
+        shutil.rmtree(subtree(front))
+
+    warm = BatchRecovery(tool=SigRec(), workers=0, cache_dir=cache_dir)
+    assert _essence(warm.recover_all([code])) == expected
+    options = SigRec().options()
+    if tier == "result":
+        assert warm.stats.cache_misses == 1
+        assert ResultCache(cache_dir, options).get(code) is not None
+        return
+    kind = FunctionMemo if tier == "fnmemo" else InferenceMemo
+    reader = kind(options, directory=cold.memo_dir)
+    for path in entries:
+        assert reader.get(os.path.basename(path)[: -len(".json")]) is not None

@@ -173,12 +173,12 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
     memo: identical signatures, identical rule/conflict counters, and
     the run reports the ``inference-memo`` tier."""
     code = _code()
-    cold = SigRec(memo=False, inference_memo_dir=str(tmp_path))
+    cold = SigRec(memo=False, memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
     assert cold._last_inference_memo[0] == 0  # nothing to hit yet
 
     warm = SigRec(
-        memo=False, inference_memo_dir=str(tmp_path),
+        memo=False, memo_dir=str(tmp_path),
         metrics=MetricsRegistry(),
     )
     assert [_key(s) for s in warm.recover(code)] == expected
@@ -194,12 +194,12 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
 def test_monolithic_path_also_replays(tmp_path):
     code = _code("transfer(address,uint256)")
     cold = SigRec(
-        sharded=False, memo=False, inference_memo_dir=str(tmp_path)
+        sharded=False, memo=False, memo_dir=str(tmp_path)
     )
     expected = [_key(s) for s in cold.recover(code)]
 
     warm = SigRec(
-        sharded=False, memo=False, inference_memo_dir=str(tmp_path)
+        sharded=False, memo=False, memo_dir=str(tmp_path)
     )
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "inference-memo"
@@ -207,7 +207,7 @@ def test_monolithic_path_also_replays(tmp_path):
 
 
 def test_disabled_memo_never_probes(tmp_path):
-    tool = SigRec(inference_memo=False, inference_memo_dir=str(tmp_path))
+    tool = SigRec(inference_memo=False, memo_dir=str(tmp_path))
     tool.recover(_code())
     assert tool.inference_memo_tier() is None
     assert tool._last_inference_memo == (0, 0)
@@ -217,15 +217,9 @@ def test_function_memo_hit_outranks_inference_memo(tmp_path):
     """With both tiers warm the function memo wins (it also skips
     TASE), and the ledger tier stays ``memo``."""
     code = _code()
-    cold = SigRec(
-        memo_dir=str(tmp_path / "fn"),
-        inference_memo_dir=str(tmp_path / "inf"),
-    )
+    cold = SigRec(memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
-    warm = SigRec(
-        memo_dir=str(tmp_path / "fn"),
-        inference_memo_dir=str(tmp_path / "inf"),
-    )
+    warm = SigRec(memo_dir=str(tmp_path))
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "memo"
     assert warm._last_inference_memo == (0, 0)
@@ -244,7 +238,7 @@ def test_batch_counts_inference_memo_probes(tmp_path):
 
     # Second run, cold result cache but warm inference-memo disk tier:
     # every function replays.  Layout: <dir>/<fingerprint>/... for the
-    # result cache, <dir>/infmemo/ for the memo — dropping the former
+    # result cache, <dir>/fnmemo/ for the memos — dropping the former
     # forces the units to actually run.
     import os
     import shutil
@@ -262,6 +256,36 @@ def test_batch_counts_inference_memo_probes(tmp_path):
     assert stats.inference_memo_misses == 0
     assert stats.inference_memo_hit_rate == 1.0
     assert "infmemo" in stats.summary()
+
+
+def test_memo_tiers_sharing_one_directory_keep_their_own_counts(tmp_path):
+    """Both memos live under one directory yet stay separate stores:
+    each tier's batch probe counts equal its own metric series."""
+    import os
+
+    from repro.corpus.datasets import build_clone_corpus
+
+    corpus = build_clone_corpus(n_families=2, clones_per_family=2, seed=13)
+    registry = MetricsRegistry()
+    runner = BatchRecovery(
+        tool=SigRec(metrics=registry), workers=0, cache_dir=str(tmp_path)
+    )
+    runner.recover_all([case.contract.bytecode for case in corpus.cases])
+    stats = runner.stats
+    values = registry.counter_values()
+
+    def total(prefix):
+        return sum(v for k, v in values.items() if k.startswith(prefix))
+
+    assert stats.memo_hits == total("memo.hits")
+    assert stats.memo_misses == total("memo.misses")
+    assert stats.inference_memo_hits == total("infmemo.hits")
+    assert stats.inference_memo_misses == total("infmemo.misses")
+    assert stats.memo_hits + stats.memo_misses > 0
+    assert stats.inference_memo_hits + stats.inference_memo_misses > 0
+    fingerprint = runner.cache.fingerprint
+    for prefix in ("fn-", "inf-"):
+        assert os.path.isdir(os.path.join(runner.memo_dir, prefix + fingerprint))
 
 
 def test_batch_tool_flag_disables_the_tier(tmp_path):

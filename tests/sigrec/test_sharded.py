@@ -22,7 +22,7 @@ from repro.corpus.datasets import (
 from repro.obs import MetricsRegistry
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
-from repro.sigrec.cache import FunctionMemo, FunctionRecord
+from repro.sigrec.cache import FunctionMemo, InferenceRecord
 from repro.sigrec.engine import TASEEngine, merge_tase_results
 
 SIGS = [
@@ -184,8 +184,8 @@ def test_memo_disk_tier_survives_processes(tmp_path):
 
 
 def test_function_memo_round_trip_and_invalidation(tmp_path):
-    record = FunctionRecord(
-        selector=0xCAFE, param_types=("uint256",), language="solidity",
+    record = InferenceRecord(
+        param_types=("uint256",), language="solidity",
         fired_rules=("R4",), confidences=("high",),
         rule_counts={"R4": 1}, conflicts={"R15": 1},
     )
@@ -200,7 +200,7 @@ def test_function_memo_round_trip_and_invalidation(tmp_path):
     fresh = FunctionMemo(options, directory=str(tmp_path))
     assert fresh.get(key) == record  # disk hit
     assert fresh.hits_disk == 1
-    replayed = fresh.get(key).to_signature()
+    replayed = fresh.get(key).to_signature(0xCAFE)
     assert replayed.elapsed_seconds == 0.0
     assert replayed.param_types == ("uint256",)
 
@@ -219,8 +219,8 @@ def test_function_memo_round_trip_and_invalidation(tmp_path):
 
 def test_function_memo_memory_tier_is_a_bounded_lru():
     memo = FunctionMemo(SigRec().options(), capacity=2)
-    record = FunctionRecord(
-        selector=1, param_types=(), language="solidity",
+    record = InferenceRecord(
+        param_types=(), language="solidity",
         fired_rules=(), confidences=(), rule_counts={}, conflicts={},
     )
     keys = [memo.key_for(bytes([i])) for i in range(3)]
