@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.evm.cfg import BasicBlock, ControlFlowGraph, build_cfg
+from repro.evm.opcodes import OPCODES
 
 #: An abstract stack slot: a frozenset of possible constants, or None
 #: for "any value".
@@ -109,9 +110,13 @@ def _join_values(a: AbsValue, b: AbsValue) -> AbsValue:
 def _join_stacks(
     a: Tuple[AbsValue, ...], b: Tuple[AbsValue, ...]
 ) -> Tuple[AbsValue, ...]:
-    """Elementwise join, aligned at the stack top (index 0)."""
+    """Elementwise join, aligned at the stack top.
+
+    Stacks are bottom-first (the top is the last entry), so the join
+    keeps the shorter depth and pairs the entries counted from the end.
+    """
     depth = min(len(a), len(b))
-    return tuple(_join_values(a[i], b[i]) for i in range(depth))
+    return tuple(map(_join_values, a[len(a) - depth:], b[len(b) - depth:]))
 
 
 def _cross_fold(fold, a: FrozenSet[int], b: FrozenSet[int]) -> AbsValue:
@@ -124,70 +129,132 @@ def _cross_fold(fold, a: FrozenSet[int], b: FrozenSet[int]) -> AbsValue:
     return frozenset(out)
 
 
-class _BlockFlow:
-    """Transfer-function output for one block under one in-state."""
+#: Compiled op kinds.  Every compiled op is a ``(kind, a, b)`` triple.
+_PUSH = 0    # a = the pushed constant set
+_DUP = 1     # a = depth n: push the n-th entry from the top
+_SWAP = 2    # a = depth n: swap the top and the (n+1)-th entry
+_EFFECT = 3  # a = pops, b = pushes (each pushed value unknown)
+_FOLD_OP = 4  # a = fold function over the top two entries
+_NOT = 5
+_JUMP = 6    # a = the jump's pc
+_JUMPI = 7   # a = the jump's pc
 
-    __slots__ = ("out_stack", "jump_targets", "jump_pc")
 
-    def __init__(self) -> None:
-        self.out_stack: Tuple[AbsValue, ...] = ()
-        self.jump_targets: AbsValue = None
-        self.jump_pc: Optional[int] = None
+def _template(op) -> Tuple:
+    if op.is_push:
+        return (_PUSH, None, 0)
+    if op.is_dup:
+        return (_DUP, op.code - 0x7F, 0)
+    if op.is_swap:
+        return (_SWAP, op.code - 0x8F, 0)
+    if op.name == "JUMP":
+        return (_JUMP, None, 0)
+    if op.name == "JUMPI":
+        return (_JUMPI, None, 0)
+    if op.name in _FOLD:
+        return (_FOLD_OP, _FOLD[op.name], 0)
+    if op.name == "NOT":
+        return (_NOT, 0, 0)
+    return (_EFFECT, op.pops, op.pushes)
 
 
-def _transfer(block: BasicBlock, in_stack: Tuple[AbsValue, ...]) -> _BlockFlow:
-    """Abstractly execute ``block`` from ``in_stack`` (top-first)."""
-    stack: List[AbsValue] = list(in_stack)
+#: Opcode byte -> compiled-op template (``-1`` is the disassembler's
+#: placeholder for bytes that are not opcodes: no stack effect).
+_TEMPLATES: Dict[int, Tuple] = {
+    op.code: _template(op) for op in OPCODES.values()
+}
+_TEMPLATES[-1] = (_EFFECT, 0, 0)
 
-    def pop() -> AbsValue:
-        return stack.pop(0) if stack else None
 
-    def push(value: AbsValue) -> None:
-        stack.insert(0, value)
-        if len(stack) > MAX_STACK:
-            del stack[MAX_STACK:]
+def _compile(block: BasicBlock) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
+    """``block`` lowered to op triples, plus the pc it falls through to
+    (None when it ends in a JUMP, a terminator or an invalid byte).
 
-    flow = _BlockFlow()
+    No-op instructions (zero pops and pushes: JUMPDEST, STOP, ...) are
+    dropped; a jump becomes its own op so every visit reports its pc.
+    """
+    ops: List[Tuple] = []
+    jumps = False
     for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if op.is_push:
-            push(frozenset((ins.operand or 0,)))
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else None)
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(None)
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name in ("JUMP", "JUMPI"):
-            flow.jump_pc = ins.pc
-            flow.jump_targets = pop()
-            if name == "JUMPI":
-                pop()
-        elif name in _FOLD:
-            a, b = pop(), pop()
-            if a is not None and b is not None:
-                push(_cross_fold(_FOLD[name], a, b))
-            else:
-                push(None)
-        elif name == "NOT":
-            a = pop()
+        template = _TEMPLATES[ins.op.code]
+        kind = template[0]
+        if kind == _PUSH:
+            ops.append((_PUSH, frozenset((ins.operand or 0,)), 0))
+        elif kind == _JUMP or kind == _JUMPI:
+            jumps = True
+            ops.append((kind, ins.pc, 0))
+        elif kind != _EFFECT or template[1] or template[2]:
+            ops.append(template)
+    terminator = block.terminator
+    name = terminator.op.name
+    falls = name == "JUMPI" or (
+        not jumps and not terminator.op.is_terminator and name != "UNKNOWN"
+    )
+    return tuple(ops), terminator.next_pc if falls else None
+
+
+def _transfer(
+    ops: Tuple[Tuple, ...], in_stack: Tuple[AbsValue, ...]
+) -> Tuple[Tuple[AbsValue, ...], Optional[int], AbsValue]:
+    """Abstractly execute compiled ``ops`` from ``in_stack``.
+
+    Stacks are bottom-first lists, so every push and pop works at the
+    end.  Returns ``(out stack, jump pc or None, jump targets)``; the
+    targets are None (unknown) when the block has no jump.
+    """
+    stack: List[AbsValue] = list(in_stack)
+    pop = stack.pop
+    push = stack.append
+    jump_pc: Optional[int] = None
+    targets: AbsValue = None
+    for kind, a, b in ops:
+        if kind == _PUSH:
+            push(a)
+            if len(stack) > MAX_STACK:
+                del stack[0]
+        elif kind == _DUP:
+            push(stack[-a] if a <= len(stack) else None)
+            if len(stack) > MAX_STACK:
+                del stack[0]
+        elif kind == _SWAP:
+            if len(stack) <= a:
+                stack[:0] = [None] * (a + 1 - len(stack))
+            stack[-1], stack[-1 - a] = stack[-1 - a], stack[-1]
+        elif kind == _EFFECT:
+            if a:
+                del stack[-a:]
+            if b:
+                stack.extend([None] * b)
+                if len(stack) > MAX_STACK:
+                    del stack[:len(stack) - MAX_STACK]
+        elif kind == _FOLD_OP:
+            x = pop() if stack else None
+            y = pop() if stack else None
             push(
-                frozenset((~x) & _MASK for x in a) if a is not None else None
+                _cross_fold(a, x, y) if x is not None and y is not None
+                else None
             )
-        else:
-            for _ in range(op.pops):
+        elif kind == _NOT:
+            x = pop() if stack else None
+            push(frozenset((~v) & _MASK for v in x) if x is not None else None)
+        else:  # _JUMP / _JUMPI
+            jump_pc = a
+            targets = pop() if stack else None
+            if kind == _JUMPI and stack:
                 pop()
-            for _ in range(op.pushes):
-                push(None)
-    flow.out_stack = tuple(stack)
-    return flow
+    return tuple(stack), jump_pc, targets
 
 
 def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
-    """Run the push-constant dataflow and return the augmented CFG."""
+    """Run the push-constant dataflow and return the augmented CFG.
+
+    Each reached block is compiled once into op triples
+    (:func:`_compile`); every later visit only re-runs the compiled ops
+    from the block's joined in-state.  Visits keep the LIFO worklist
+    order, and ``resolved``/``invalid``/``unresolved`` accumulate across
+    visits: once a target set widens to unknown, the result depends on
+    that order.
+    """
     blocks = cfg.blocks
     dests = cfg.valid_jumpdests
 
@@ -198,6 +265,7 @@ def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
     successors: Dict[int, Set[int]] = {
         start: set(block.successors) for start, block in blocks.items()
     }
+    compiled: Dict[int, Tuple[Tuple[Tuple, ...], Optional[int]]] = {}
 
     visits: Dict[int, int] = {}
     incomplete = False
@@ -223,32 +291,31 @@ def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
         if count > _MAX_VISITS_PER_BLOCK:
             incomplete = True
             continue
-        block = blocks[start]
-        flow = _transfer(block, in_states.get(start, ()))
-        terminator = block.terminator
-        name = terminator.op.name
+        lowered = compiled.get(start)
+        if lowered is None:
+            lowered = compiled[start] = _compile(blocks[start])
+        ops, fall_pc = lowered
+        out_stack, jump_pc, jump_targets = _transfer(
+            ops, in_states.get(start, ())
+        )
 
-        if flow.jump_pc is not None:
-            if flow.jump_targets is None:
-                unresolved.add(flow.jump_pc)
+        if jump_pc is not None:
+            if jump_targets is None:
+                unresolved.add(jump_pc)
             else:
-                unresolved.discard(flow.jump_pc)
-                good = resolved.setdefault(flow.jump_pc, set())
-                bad = invalid.setdefault(flow.jump_pc, set())
-                for target in flow.jump_targets:
+                unresolved.discard(jump_pc)
+                good = resolved.setdefault(jump_pc, set())
+                bad = invalid.setdefault(jump_pc, set())
+                for target in jump_targets:
                     (good if target in dests else bad).add(target)
                 for target in good:
                     if target not in successors[start]:
                         successors[start].add(target)
-                    propagate(target, flow.out_stack)
+                    propagate(target, out_stack)
                 if not bad:
-                    invalid.pop(flow.jump_pc, None)
-        if name == "JUMPI" or (
-            flow.jump_pc is None
-            and not terminator.op.is_terminator
-            and name != "UNKNOWN"
-        ):
-            propagate(terminator.next_pc, flow.out_stack)
+                    invalid.pop(jump_pc, None)
+        if fall_pc is not None:
+            propagate(fall_pc, out_stack)
 
     # A jump that stayed unresolved on every visit but also never saw a
     # constant is input-dependent; one resolved on a later visit leaves

@@ -724,9 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the function-body memo tier",
     )
     p.add_argument(
-        "--no-inference-memo", dest="inference_memo",
-        action="store_false", default=True,
-        help="disable the inference-memo tier (event-digest keyed)",
+        "--inference-memo", dest="inference_memo",
+        action="store_true", default=False,
+        help="enable the inference-memo tier (event-digest keyed; off by "
+        "default because the digest costs more than it saves on typical "
+        "corpora)",
     )
     p.add_argument(
         "--profiles-out", default=None, metavar="DIR",

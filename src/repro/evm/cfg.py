@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.evm.disasm import Instruction, disassemble, jumpdests
+from repro.evm.disasm import Instruction
+from repro.evm.predecode import CONTROL_OPS, instruction_stream
 
 
 @dataclass
@@ -73,46 +74,51 @@ class ControlFlowGraph:
 
 def _leaders(instructions: List[Instruction]) -> List[int]:
     """Block-leader pcs: the first instruction, every JUMPDEST, and every
-    instruction following a control transfer.
+    instruction following a control transfer (JUMP, JUMPI, a terminator
+    or an invalid byte — exactly :data:`~repro.evm.predecode.CONTROL_OPS`).
 
     Valid JUMPDESTs need no separate treatment as jump *targets*: being
     JUMPDESTs already makes them leaders.
     """
-    leaders: Set[int] = set()
-    if instructions:
-        leaders.add(instructions[0].pc)
-    for i, ins in enumerate(instructions):
+    if not instructions:
+        return []
+    end = instructions[-1].next_pc
+    leaders = {instructions[0].pc}
+    for ins in instructions:
         name = ins.op.name
         if name == "JUMPDEST":
             leaders.add(ins.pc)
-        if name in ("JUMP", "JUMPI") or ins.op.is_terminator or name == "UNKNOWN":
-            if i + 1 < len(instructions):
-                leaders.add(instructions[i + 1].pc)
+        elif name in CONTROL_OPS and ins.next_pc < end:
+            leaders.add(ins.next_pc)
     return sorted(leaders)
 
 
 def build_cfg(bytecode: bytes) -> ControlFlowGraph:
-    """Disassemble ``bytecode`` and build its CFG.
+    """Build the CFG of ``bytecode`` over its shared instruction stream.
 
     Static edges cover fall-through, JUMPI both-ways when the target is a
     ``PUSH`` immediately preceding the jump, and direct JUMPs.  Jumps
     whose target is not a preceding PUSH set ``has_dynamic_jump``; a
     pushed target that is *not* a valid JUMPDEST sets
     ``invalid_static_jump`` (the jump always throws at runtime).
+
+    The blocks slice the cached stream of
+    :func:`repro.evm.predecode.instruction_stream`, so they hold the
+    same :class:`Instruction` objects the TASE engine executes.
     """
-    instructions = disassemble(bytecode)
-    dests = jumpdests(instructions)
-    leaders = _leaders(instructions)
-    leader_set = set(leaders)
+    stream = instruction_stream(bytecode)
+    instructions = stream.instructions
+    dests = stream.jumpdests
+    pc_index = stream.pc_index
+    bounds = [pc_index[pc] for pc in _leaders(instructions)]
+    bounds.append(len(instructions))
 
     blocks: Dict[int, BasicBlock] = {}
-    current: Optional[BasicBlock] = None
-    for ins in instructions:
-        if ins.pc in leader_set:
-            current = BasicBlock(start=ins.pc)
-            blocks[ins.pc] = current
-        assert current is not None
-        current.instructions.append(ins)
+    for first, stop in zip(bounds, bounds[1:]):
+        start = instructions[first].pc
+        blocks[start] = BasicBlock(
+            start=start, instructions=instructions[first:stop]
+        )
 
     for block in blocks.values():
         last = block.terminator

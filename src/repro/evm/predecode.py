@@ -1,18 +1,17 @@
 """Pre-decoded instruction streams and superblocks.
 
-Every execution driver in this repository (the concrete interpreter,
-the TASE engine, the differential replay) used to rebuild the same
-per-pc dispatch dict — ``{pc: (Instruction, handler, ...)}`` — from the
-disassembly on every construction, and then pay a dict lookup, a tuple
-unpack and two property calls (``Instruction.next_pc``) per executed
-step.  This module lowers bytecode **once** per ``(bytecode, domain
-class)`` pair into a :class:`DecodedProgram`:
+Every consumer of a bytecode's instructions — the CFG builder, the
+batch selector scan, and every execution driver (the concrete
+interpreter, the TASE engine, the differential replay) — reads one
+:class:`InstructionStream`: a single linear sweep per bytecode, cached
+in the module program cache, whose :class:`Instruction` objects are
+shared by all of them.  On top of a stream, a :class:`DecodedProgram`
+binds one domain class, once per ``(bytecode, domain class)`` pair:
 
-* one linear sweep decodes the stream and classifies every slot into a
-  ``(kind, arg, handler, instruction)`` entry — ``kind``/``arg`` let
-  fused drivers inline the pure stack-shuffle opcodes (PUSH/DUP/SWAP/
-  POP, roughly half of all executed steps), ``handler`` is the
-  pre-bound fallback the per-step drivers use;
+* every slot becomes a ``(kind, arg, handler, instruction)`` entry —
+  ``kind``/``arg`` let fused drivers inline the pure stack-shuffle
+  opcodes (PUSH/DUP/SWAP/POP, roughly half of all executed steps),
+  ``handler`` is the pre-bound fallback the per-step drivers use;
 * **superblocks** — maximal straight-line runs ending at the first
   control-transfer opcode — materialize lazily per entry pc as one
   C-speed ``bytearray.find`` plus a tuple slice of the shared entry
@@ -23,7 +22,8 @@ class)`` pair into a :class:`DecodedProgram`:
 Superblock entries are the initial pc, JUMPDESTs and JUMPI
 fall-throughs.  Repeated explorations — per-selector shards, replay
 over a fuzz corpus — amortize everything after the first decode via
-the module-level program cache.
+the module-level program cache.  Streams are shared, so nothing may
+mutate their lists or instructions.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.evm.opcodes import OPCODES
 #: Mnemonics whose handler may transfer control (return an int target
 #: or the HALT sentinel).  Every other handler always returns None, so
 #: a run of them executes straight-line — the superblock invariant.
+#: These are also exactly the instructions that end a CFG basic block.
 CONTROL_OPS = frozenset(
     ["JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID",
      "SELFDESTRUCT", "UNKNOWN"]
@@ -57,7 +58,7 @@ KIND_NOP = 7  # JUMPDEST: no effect in every domain
 
 #: byte -> (Op-or-UNKNOWN, immediate size, kind, arg, is control).
 #: Everything derivable from the byte alone is resolved once at import
-#: so the decode sweep in ``DecodedProgram.__init__`` is a single
+#: so the decode sweep in ``InstructionStream.__init__`` is a single
 #: table-indexed loop.
 _BYTE_TABLE: List[Tuple] = []
 for _byte in range(256):
@@ -80,13 +81,12 @@ for _byte in range(256):
     )
 del _byte, _op, _kind, _arg
 
-#: Per-domain-class fused decode tables:
-#: byte -> (Op, imm, kind, arg, is_ctrl, handler).  Built once per
-#: domain class — this is where GENERIC slots whose handler exposes an
-#: ``inner`` domain method (the unop/binop wrappers in
-#: repro.evm.semantics) are promoted to KIND_UNOP/KIND_BINOP with the
-#: method as ``arg``, and JUMPDEST to KIND_NOP, so fused drivers skip
-#: the wrapper frame entirely.
+#: Per-domain-class binding tables: byte -> (imm, kind, arg, handler).
+#: Built once per domain class — this is where GENERIC slots whose
+#: handler exposes an ``inner`` domain method (the unop/binop wrappers
+#: in repro.evm.semantics) are promoted to KIND_UNOP/KIND_BINOP with
+#: the method as ``arg``, and JUMPDEST to KIND_NOP, so fused drivers
+#: skip the wrapper frame entirely.
 _DOMAIN_TABLES: Dict[Type, List[Tuple]] = {}
 
 
@@ -112,9 +112,72 @@ def _domain_table(domain_cls: Type) -> List[Tuple]:
                         kind, arg = KIND_BINOP, inner
                     elif arity == 1:
                         kind, arg = KIND_UNOP, inner
-        dtab.append((op, imm, kind, arg, ctrl, handler))
+        dtab.append((imm, kind, arg, handler))
     _DOMAIN_TABLES[domain_cls] = dtab
     return dtab
+
+
+class InstructionStream:
+    """One bytecode's linear-sweep decode, shared by every consumer.
+
+    ``instructions`` holds one :class:`Instruction` per slot (same
+    semantics as ``disasm.disassemble``: invalid bytes become UNKNOWN
+    placeholders, a truncated PUSH is zero-extended); ``opcodes`` the
+    raw byte of each slot, ``is_ctrl`` a control-op bitmap over the
+    slots (so block building is a ``bytearray.find``), ``pc_index`` the
+    pc -> slot map and ``jumpdests`` the valid JUMPDEST pcs.
+    """
+
+    __slots__ = (
+        "bytecode", "instructions", "opcodes", "is_ctrl", "pc_index",
+        "jumpdests", "_programs",
+    )
+
+    def __init__(self, bytecode: bytes) -> None:
+        self.bytecode = bytecode
+        code = bytecode
+        n = len(code)
+        table = _BYTE_TABLE
+        instructions: List[Instruction] = []
+        opcodes = bytearray()
+        is_ctrl = bytearray()
+        pc_index: Dict[int, int] = {}
+        dests: List[int] = []
+        iapp = instructions.append
+        oapp = opcodes.append
+        capp = is_ctrl.append
+        from_bytes = int.from_bytes
+        pos = 0
+        i = 0
+        while pos < n:
+            byte = code[pos]
+            op, imm, _kind, _arg, ctrl = table[byte]
+            pc_index[pos] = i
+            oapp(byte)
+            if imm:
+                end = pos + 1 + imm
+                raw = code[pos + 1:end]
+                if end > n:
+                    raw = raw + b"\x00" * (end - n)
+                iapp(Instruction(pos, op, from_bytes(raw, "big")))
+                capp(0)
+                pos = end
+            else:
+                iapp(Instruction(pos, op))
+                capp(ctrl)
+                if byte == 0x5B:
+                    dests.append(pos)
+                pos += 1
+            i += 1
+        self.instructions = instructions
+        self.opcodes = bytes(opcodes)
+        self.is_ctrl = is_ctrl
+        self.pc_index = pc_index
+        self.jumpdests = frozenset(dests)
+        #: domain class -> its DecodedProgram over this stream.  Programs
+        #: hold the stream's parts, never the stream itself, so dropping
+        #: a stream from the cache frees it without a reference cycle.
+        self._programs: Dict[Type, DecodedProgram] = {}
 
 
 class SuperBlock:
@@ -144,12 +207,13 @@ class SuperBlock:
 
 
 class DecodedProgram:
-    """One bytecode lowered against one domain class.
+    """One instruction stream bound to one domain class.
 
-    The decode-and-classify sweep runs once in ``__init__``; per-pc
-    views (``by_pc``, ``dispatch``) and superblocks materialize lazily
-    and are cached on the program, which is itself shared by every
-    engine over the same bytecode via the module decode cache.
+    ``__init__`` only classifies the stream's slots against the domain's
+    handlers; per-pc views (``by_pc``, ``dispatch``) and superblocks
+    materialize lazily and are cached on the program, which is itself
+    shared by every engine over the same bytecode via the module program
+    cache.
     """
 
     __slots__ = (
@@ -158,61 +222,23 @@ class DecodedProgram:
         "_by_pc", "_dispatch", "_blocks",
     )
 
-    def __init__(self, bytecode: bytes, domain_cls: Type) -> None:
-        self.bytecode = bytecode
+    def __init__(self, stream: InstructionStream, domain_cls: Type) -> None:
+        self.bytecode = stream.bytecode
         self.domain_cls = domain_cls
+        self.instructions = stream.instructions
+        self.jumpdests = stream.jumpdests
+        self._is_ctrl = stream.is_ctrl
+        self._pc_index = stream.pc_index
         dtab = _domain_table(domain_cls)
-
-        # One fused sweep: decode (same linear-sweep semantics as
-        # ``disasm.disassemble``, truncated PUSH zero-extended) and
-        # classify in the same loop — per-slot driver entries, a
-        # control-op bitmap (so block building is a bytearray.find),
-        # the pc -> slot index, and the JUMPDEST set.
-        code = bytecode
-        n = len(code)
-        instructions: List[Instruction] = []
-        entries: List[Tuple] = []
-        is_ctrl = bytearray()
-        pc_index: Dict[int, int] = {}
-        dests: List[int] = []
-        iapp = instructions.append
-        eapp = entries.append
-        capp = is_ctrl.append
-        from_bytes = int.from_bytes
-        pos = 0
-        i = 0
-        while pos < n:
-            byte = code[pos]
-            op, imm, kind, arg, ctrl, handler = dtab[byte]
-            if imm:
-                body = pos + 1
-                end = body + imm
-                raw = code[body:end]
-                if end > n:
-                    raw = raw + b"\x00" * (end - n)
-                arg = from_bytes(raw, "big")
-                ins = Instruction(pos, op, arg)
-                pc_index[pos] = i
-                iapp(ins)
-                eapp((KIND_PUSH, arg, handler, ins))
-                capp(0)
-                pos = end
-                i += 1
-                continue
-            ins = Instruction(pos, op)
-            pc_index[pos] = i
-            iapp(ins)
-            eapp((kind, arg, handler, ins))
-            capp(1 if ctrl else 0)
-            if byte == 0x5B:
-                dests.append(pos)
-            pos += 1
-            i += 1
-        self.instructions = instructions
-        self._entries = entries
-        self._is_ctrl = is_ctrl
-        self._pc_index = pc_index
-        self.jumpdests = frozenset(dests)
+        # A PUSH slot carries its immediate; every other slot carries
+        # the byte's precomputed kind and argument.
+        self._entries = [
+            (KIND_PUSH, ins.operand, handler, ins) if imm
+            else (kind, arg, handler, ins)
+            for ins, (imm, kind, arg, handler) in zip(
+                stream.instructions, map(dtab.__getitem__, stream.opcodes)
+            )
+        ]
         self._by_pc: Optional[Dict[int, Instruction]] = None
         self._dispatch: Optional[Dict[int, tuple]] = None
         self._blocks: Dict[int, Optional[SuperBlock]] = {}
@@ -286,28 +312,42 @@ class DecodedProgram:
 
 _UNBUILT = object()
 
-#: Decode cache: ``(bytecode, domain class) -> DecodedProgram``.
-#: Bounded FIFO — batch runs over large corpora must not pin every
-#: bytecode in memory forever.
-_PROGRAM_CACHE: Dict[Tuple[bytes, Type], DecodedProgram] = {}
+#: Program cache: ``bytecode -> InstructionStream``, each stream holding
+#: its per-domain programs.  Bounded FIFO — batch runs over large
+#: corpora must not pin every bytecode in memory forever.
+_PROGRAM_CACHE: Dict[bytes, InstructionStream] = {}
 _PROGRAM_CACHE_MAX = 128
+
+
+def instruction_stream(bytecode: bytes) -> InstructionStream:
+    """The cached :class:`InstructionStream` of ``bytecode``.
+
+    The first consumer of a bytecode pays its one linear sweep; the CFG
+    builder, the selector scan and every :func:`decode` after it share
+    the stream and its instruction objects.
+    """
+    stream = _PROGRAM_CACHE.get(bytecode)
+    if stream is None:
+        stream = InstructionStream(bytecode)
+        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
+            _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
+        _PROGRAM_CACHE[bytecode] = stream
+    return stream
 
 
 def decode(bytecode: bytes, domain_cls: Type) -> DecodedProgram:
     """The cached :class:`DecodedProgram` for ``(bytecode, domain_cls)``.
 
-    Engines over the same bytecode and domain share one decode: the
+    Engines over the same bytecode and domain share one program: the
     sharded TASE walks, repeated interpreter constructions in a fuzzing
     loop, and the differential replay all skip the sweep and every
     lazily-built artifact after the first call.
     """
-    key = (bytecode, domain_cls)
-    program = _PROGRAM_CACHE.get(key)
+    stream = instruction_stream(bytecode)
+    program = stream._programs.get(domain_cls)
     if program is None:
-        program = DecodedProgram(bytecode, domain_cls)
-        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
-            _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
-        _PROGRAM_CACHE[key] = program
+        program = DecodedProgram(stream, domain_cls)
+        stream._programs[domain_cls] = program
     return program
 
 

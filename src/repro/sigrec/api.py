@@ -106,7 +106,7 @@ class SigRec:
         sharded: bool = True,
         memo: bool = True,
         memo_dir: Optional[str] = None,
-        inference_memo: bool = True,
+        inference_memo: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
         ledger: Optional[RunLedger] = None,
@@ -143,11 +143,15 @@ class SigRec:
         # contracts the dispatcher analysis cannot close.  ``memo``
         # additionally keys each shard's inferred signature by its code
         # region so clone-heavy corpora recover each shared body once.
-        # ``inference_memo`` adds the third caching tier: inference
+        # ``inference_memo`` opts into the third caching tier: inference
         # products keyed by the canonical event-stream digest
         # (:func:`repro.sigrec.events.events_digest`), so clones whose
         # *bytecode* differs but whose event streams normalize
-        # identically skip rule inference entirely (TASE still runs).
+        # identically skip rule inference (TASE still runs).  Off by
+        # default: computing the digest costs more than the inference
+        # it could skip on every measured corpus, so only a workload
+        # with expensive inference and many digest-equal functions
+        # gains from it.
         # ``memo_dir`` adds the persistent on-disk tier of both memos
         # (it is wiring, like ``metrics``, and not part of
         # :meth:`options`).

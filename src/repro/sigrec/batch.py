@@ -305,10 +305,11 @@ class BatchRecovery:
     statistics; one is created with defaults when omitted.  ``workers``
     is the process-pool size (``None`` means ``os.cpu_count()``; ``0``
     means serial in-process).  ``cache_dir`` enables the persistent
-    result cache plus the on-disk tiers of both memos, which share
-    ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).  ``unit_size`` is the
-    selector count above which one contract splits into several
-    scheduler units (``0`` disables splitting).
+    result cache plus the on-disk tiers of the memos the tool enables
+    (the inference memo only with ``SigRec(inference_memo=True)``),
+    which share ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).
+    ``unit_size`` is the selector count above which one contract splits
+    into several scheduler units (``0`` disables splitting).
     """
 
     def __init__(

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from repro.evm.disasm import disassemble
+from repro.evm.predecode import instruction_stream
+
+_PUSH4 = 0x63
+_EQ = 0x14
 
 
 def extract_selectors(bytecode: bytes) -> List[int]:
@@ -22,14 +25,18 @@ def extract_selectors(bytecode: bytes) -> List[int]:
         PUSH4 <id> DUP2 EQ ...
 
     A PUSH4 immediately compared with EQ (within the next two
-    instructions) is taken as a candidate selector.
+    instructions) is taken as a candidate selector.  The scan reads the
+    shared instruction stream (one opcode byte per slot), so it costs no
+    decode of its own when the CFG or an engine already decoded the
+    bytecode, and the first of them after it reuses its decode.
     """
-    instructions = disassemble(bytecode)
+    stream = instruction_stream(bytecode)
+    opcodes = stream.opcodes
+    instructions = stream.instructions
     selectors: Set[int] = set()
-    for i, ins in enumerate(instructions):
-        if not ins.op.is_push or ins.op.immediate_size != 4:
-            continue
-        window = instructions[i + 1 : i + 3]
-        if any(nxt.op.name == "EQ" for nxt in window):
-            selectors.add(ins.operand or 0)
+    i = opcodes.find(_PUSH4)
+    while i != -1:
+        if _EQ in opcodes[i + 1:i + 3]:
+            selectors.add(instructions[i].operand)
+        i = opcodes.find(_PUSH4, i + 1)
     return sorted(selectors)

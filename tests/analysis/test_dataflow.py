@@ -1,12 +1,26 @@
 """Jump resolution via the push-constant stack dataflow."""
 
+import hashlib
+
+import pytest
+
+from repro.abi.signature import FunctionSignature
 from repro.analysis.dataflow import (
     MAX_SET,
     _join_stacks,
     _join_values,
     resolve_bytecode,
+    resolve_jumps,
+)
+from repro.compiler import compile_contract
+from repro.compiler.contract import CodegenOptions, DispatcherStyle, Language
+from repro.corpus.datasets import (
+    build_closed_source_corpus,
+    build_obfuscated_corpus,
+    build_vyper_corpus,
 )
 from repro.evm.asm import Assembler
+from repro.evm.cfg import build_cfg
 
 
 def test_adjacent_push_jump_resolved():
@@ -49,6 +63,37 @@ def test_constant_folded_target():
     assert bytecode[7] == 0x5B  # JUMPDEST where the fold should land
     rcfg = resolve_bytecode(bytecode)
     assert frozenset({7}) in rcfg.resolved_targets.values()
+
+
+def _shuffled_target(op):
+    """The target, two constants above it, then ``op`` brings it back."""
+    a = Assembler()
+    a.push_label("end").push(1).push(2).op(op).op("JUMP")
+    a.label("end").op("JUMPDEST").op("STOP")
+    return a.assemble()
+
+
+def _subtracted_target():
+    a = Assembler()
+    a.push(3).push(10).op("SUB")  # top minus next: 10 - 3 = 7
+    a.op("JUMP").op("STOP")
+    a.label("end").op("JUMPDEST").op("STOP")
+    return a.assemble()
+
+
+@pytest.mark.parametrize(
+    "bytecode",
+    [_shuffled_target("DUP3"), _shuffled_target("SWAP2"), _subtracted_target()],
+    ids=["dup-depth", "swap-depth", "fold-operand-order"],
+)
+def test_stack_ops_keep_depth_and_operand_order(bytecode):
+    """DUPn/SWAPn reach the n-th entry below the top, and a fold takes
+    the top as its first operand: each snippet jumps to its JUMPDEST."""
+    rcfg = resolve_bytecode(bytecode)
+    assert not rcfg.unresolved_jumps
+    assert not rcfg.invalid_targets
+    (targets,) = rcfg.resolved_targets.values()
+    assert targets == frozenset({bytecode.index(0x5B)})
 
 
 def test_return_address_dispatch_resolves_to_both_callers():
@@ -100,9 +145,90 @@ def test_join_values_respects_set_cap():
 
 
 def test_join_stacks_aligns_at_top():
-    a = (frozenset({1}), frozenset({2}), frozenset({3}))
-    b = (frozenset({1}), frozenset({9}))
+    # Stacks are bottom-first: the top is the last entry.
+    a = (frozenset({3}), frozenset({2}), frozenset({1}))
+    b = (frozenset({9}), frozenset({1}))
     joined = _join_stacks(a, b)
     assert len(joined) == 2
-    assert joined[0] == frozenset({1})
-    assert joined[1] == frozenset({2, 9})
+    assert joined[-1] == frozenset({1})
+    assert joined[-2] == frozenset({2, 9})
+
+
+# ----------------------------------------------------------------------
+# Pinned products: the CFG blocks and the resolved jump table must not
+# move when the front end or the fixpoint is reimplemented.
+
+
+def _ci_sample():
+    """The 45-contract corpus sample the CI lint/profile/ABI smokes use."""
+    codes = []
+    for corpus in (
+        build_closed_source_corpus(n_contracts=25, seed=2),
+        build_vyper_corpus(n_contracts=10, seed=4),
+        build_obfuscated_corpus(n_contracts=10, seed=9),
+    ):
+        codes += [case.contract.bytecode for case in corpus.cases]
+    return codes
+
+
+def _codegen_variants():
+    """One contract per codegen variant."""
+    signatures = [
+        FunctionSignature.parse("transfer(address,uint256)"),
+        FunctionSignature.parse("setData(bytes,uint256[3])"),
+        FunctionSignature.parse("flag()"),
+    ]
+    variants = [
+        CodegenOptions(dispatcher=style, optimize=optimize, obfuscate=obfuscate)
+        for style in DispatcherStyle
+        for optimize in (False, True)
+        for obfuscate in (False, True)
+    ] + [CodegenOptions(language=Language.VYPER, version="0.2.8")]
+    return [compile_contract(signatures, options).bytecode for options in variants]
+
+
+def _sorted_sets(mapping):
+    return sorted((key, sorted(values)) for key, values in mapping.items())
+
+
+def _products_digest(bytecodes):
+    """sha256 over every block (instructions, successors, jump flags)
+    and the resolved CFG (successors, resolved and invalid targets,
+    unresolved jumps, ``incomplete``) of each bytecode."""
+    digest = hashlib.sha256()
+    for code in bytecodes:
+        cfg = build_cfg(code)
+        for start in sorted(cfg.blocks):
+            block = cfg.blocks[start]
+            digest.update(repr((
+                start,
+                [(ins.pc, ins.op.code, ins.operand) for ins in block.instructions],
+                sorted(block.successors),
+                block.has_dynamic_jump,
+                block.invalid_static_jump,
+            )).encode())
+        rcfg = resolve_jumps(cfg)
+        digest.update(repr((
+            _sorted_sets(rcfg.successors),
+            _sorted_sets(rcfg.resolved_targets),
+            _sorted_sets(rcfg.invalid_targets),
+            sorted(rcfg.unresolved_jumps),
+            rcfg.incomplete,
+        )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "corpus,count,expected",
+    [
+        (_ci_sample, 45,
+         "3e4ca29d6f594de6980180fd17ca245dea7756e87d49762187947bbac271b0b4"),
+        (_codegen_variants, 13,
+         "49375ccb6f3379185be94861cd4f74e07790be3d024b1c566375daac23f7135f"),
+    ],
+    ids=["ci-sample", "codegen-variants"],
+)
+def test_cfg_and_jump_products_are_pinned(corpus, count, expected):
+    codes = corpus()
+    assert len(codes) == count
+    assert _products_digest(codes) == expected

@@ -321,7 +321,9 @@ def test_batch_recovers_and_rewrites_wrong_shape_entries(
 
     code = _code("setData(bytes,uint256[3])")
     cache_dir = str(tmp_path)
-    cold = BatchRecovery(tool=SigRec(), workers=0, cache_dir=cache_dir)
+    # The inference memo is opt-in: its cases turn it on.
+    opts = {"inference_memo": True} if tier == "infmemo" else {}
+    cold = BatchRecovery(tool=SigRec(**opts), workers=0, cache_dir=cache_dir)
     expected = _essence(cold.recover_all([code]))
     fingerprint = cold.cache.fingerprint
 
@@ -338,9 +340,9 @@ def test_batch_recovers_and_rewrites_wrong_shape_entries(
     for front in list(PREFIXES)[: list(PREFIXES).index(tier)]:
         shutil.rmtree(subtree(front))
 
-    warm = BatchRecovery(tool=SigRec(), workers=0, cache_dir=cache_dir)
+    warm = BatchRecovery(tool=SigRec(**opts), workers=0, cache_dir=cache_dir)
     assert _essence(warm.recover_all([code])) == expected
-    options = SigRec().options()
+    options = SigRec(**opts).options()
     if tier == "result":
         assert warm.stats.cache_misses == 1
         assert ResultCache(cache_dir, options).get(code) is not None

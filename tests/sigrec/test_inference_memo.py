@@ -173,12 +173,12 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
     memo: identical signatures, identical rule/conflict counters, and
     the run reports the ``inference-memo`` tier."""
     code = _code()
-    cold = SigRec(memo=False, memo_dir=str(tmp_path))
+    cold = SigRec(memo=False, inference_memo=True, memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
     assert cold._last_inference_memo[0] == 0  # nothing to hit yet
 
     warm = SigRec(
-        memo=False, memo_dir=str(tmp_path),
+        memo=False, inference_memo=True, memo_dir=str(tmp_path),
         metrics=MetricsRegistry(),
     )
     assert [_key(s) for s in warm.recover(code)] == expected
@@ -194,12 +194,14 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
 def test_monolithic_path_also_replays(tmp_path):
     code = _code("transfer(address,uint256)")
     cold = SigRec(
-        sharded=False, memo=False, memo_dir=str(tmp_path)
+        sharded=False, memo=False, inference_memo=True,
+        memo_dir=str(tmp_path),
     )
     expected = [_key(s) for s in cold.recover(code)]
 
     warm = SigRec(
-        sharded=False, memo=False, memo_dir=str(tmp_path)
+        sharded=False, memo=False, inference_memo=True,
+        memo_dir=str(tmp_path),
     )
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "inference-memo"
@@ -217,9 +219,9 @@ def test_function_memo_hit_outranks_inference_memo(tmp_path):
     """With both tiers warm the function memo wins (it also skips
     TASE), and the ledger tier stays ``memo``."""
     code = _code()
-    cold = SigRec(memo_dir=str(tmp_path))
+    cold = SigRec(inference_memo=True, memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
-    warm = SigRec(memo_dir=str(tmp_path))
+    warm = SigRec(inference_memo=True, memo_dir=str(tmp_path))
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "memo"
     assert warm._last_inference_memo == (0, 0)
@@ -231,7 +233,8 @@ def test_batch_counts_inference_memo_probes(tmp_path):
     codes = [_code(), _code("transfer(address,uint256)")]
     cache_dir = str(tmp_path)
     first = BatchRecovery(
-        tool=SigRec(memo=False), workers=0, cache_dir=cache_dir
+        tool=SigRec(memo=False, inference_memo=True), workers=0,
+        cache_dir=cache_dir,
     )
     first.recover_all(codes)
     assert first.stats.inference_memo_misses > 0
@@ -244,7 +247,8 @@ def test_batch_counts_inference_memo_probes(tmp_path):
     import shutil
 
     second = BatchRecovery(
-        tool=SigRec(memo=False), workers=0, cache_dir=cache_dir
+        tool=SigRec(memo=False, inference_memo=True), workers=0,
+        cache_dir=cache_dir,
     )
     shutil.rmtree(
         os.path.join(cache_dir, second.cache.fingerprint),
@@ -268,7 +272,8 @@ def test_memo_tiers_sharing_one_directory_keep_their_own_counts(tmp_path):
     corpus = build_clone_corpus(n_families=2, clones_per_family=2, seed=13)
     registry = MetricsRegistry()
     runner = BatchRecovery(
-        tool=SigRec(metrics=registry), workers=0, cache_dir=str(tmp_path)
+        tool=SigRec(metrics=registry, inference_memo=True), workers=0,
+        cache_dir=str(tmp_path),
     )
     runner.recover_all([case.contract.bytecode for case in corpus.cases])
     stats = runner.stats
@@ -297,3 +302,42 @@ def test_batch_tool_flag_disables_the_tier(tmp_path):
     assert runner.stats.inference_memo_hits == 0
     assert runner.stats.inference_memo_misses == 0
     assert "infmemo" not in runner.stats.summary()
+
+
+# -- opt-in: the default path never keys an inference -------------------
+
+
+def test_inference_memo_is_off_by_default():
+    assert SigRec().options()["inference_memo"] is False
+
+
+def test_default_recover_computes_no_event_digest(monkeypatch):
+    from repro.sigrec import api
+
+    calls = []
+    original = api.events_digest
+
+    def counting(events):
+        calls.append(events)
+        return original(events)
+
+    monkeypatch.setattr(api, "events_digest", counting)
+    assert SigRec().recover(_code())
+    assert calls == []
+    # The same global is what an opted-in tool calls.
+    SigRec(inference_memo=True).recover(_code())
+    assert calls
+
+
+def test_default_batch_writes_no_inference_memo(tmp_path):
+    import os
+
+    runner = BatchRecovery(workers=0, cache_dir=str(tmp_path))
+    runner.recover_all([_code(), _code("transfer(address,uint256)")])
+    stats = runner.stats
+    assert stats.analyzed == 2
+    assert stats.inference_memo_hits == 0
+    assert stats.inference_memo_misses == 0
+    assert "infmemo" not in stats.summary()
+    subtrees = os.listdir(runner.memo_dir) if os.path.isdir(runner.memo_dir) else []
+    assert not [name for name in subtrees if name.startswith("inf-")]

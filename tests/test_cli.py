@@ -188,9 +188,9 @@ def test_batch_scheduler_flags(token_hex, tmp_path, capsys):
                  "--no-shard", "--no-memo"]) == 0
     assert expected in capsys.readouterr().out
 
-    # The inference-memo kill switch: identical output, no infmemo line.
-    assert main(["batch", str(path), "--workers", "0",
-                 "--no-inference-memo", "--time"]) == 0
+    # The inference memo is off by default: identical output, no
+    # infmemo line.
+    assert main(["batch", str(path), "--workers", "0", "--time"]) == 0
     captured = capsys.readouterr()
     assert expected in captured.out
     assert "infmemo" not in captured.err
@@ -201,8 +201,8 @@ def test_batch_inference_memo_summary(token_hex, tmp_path, capsys):
     per-process memo and the --time summary shows the probes."""
     path = tmp_path / "corpus.txt"
     path.write_text(f"{token_hex}\n{token_hex}\n")
-    args = ["batch", str(path), "--workers", "0", "--no-memo", "--time",
-            "--cache-dir", str(tmp_path / "cache")]
+    args = ["batch", str(path), "--workers", "0", "--no-memo",
+            "--inference-memo", "--time", "--cache-dir", str(tmp_path / "cache")]
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "0xa9059cbb(address,uint256)" in captured.out
