@@ -7,8 +7,8 @@ Two bounds, two configurations:
   identity check against the shared null singletons.  A fully
   instrumented ``SigRec.recover`` with the default null backends must
   stay within 3% of a hand-rolled engine+inference loop that bypasses
-  the instrumented wrapper entirely, over the same 80-contract corpus
-  the pruning benchmark uses.
+  the instrumented wrapper entirely, over one 80-contract corpus
+  (closed-source, Vyper and obfuscated contracts).
 * **ledger-enabled** — turning the run ledger on (which auto-creates a
   real registry for phase attribution) must cost under 5% on a serial
   batch over the throughput corpus.  The instrumented pass also feeds

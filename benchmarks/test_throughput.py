@@ -37,7 +37,7 @@ def _steps_corpus():
     return codes
 
 
-def _measure_steps_rate(codes, trials=3, **engine_opts):
+def _measure_steps_rate(codes, trials=3):
     """Cold single-core steps/s, best of ``trials`` passes.
 
     Cold: the decode cache is dropped before every pass and each engine
@@ -51,7 +51,7 @@ def _measure_steps_rate(codes, trials=3, **engine_opts):
         start = time.perf_counter()
         steps = 0
         for code in codes:
-            steps += TASEEngine(code, **engine_opts).run().total_steps
+            steps += TASEEngine(code).run().total_steps
         elapsed = time.perf_counter() - start
         best_rate = max(best_rate, steps / elapsed)
     return best_rate, steps
@@ -60,15 +60,9 @@ def _measure_steps_rate(codes, trials=3, **engine_opts):
 def test_tase_steps_per_second(record, bench_json):
     """ROADMAP item 5: ≥2x single-core TASE steps/s over the committed
     ``BENCH_throughput.json`` baseline (superblock driver + priority
-    scheduling + per-engine arena), with the legacy per-opcode driver
-    measured in the same process for the driver-vs-driver record."""
+    scheduling + per-engine arena)."""
     codes = _steps_corpus()
     rate, steps = _measure_steps_rate(codes)
-    legacy_rate, legacy_steps = _measure_steps_rate(
-        codes, driver="legacy", scheduler="lifo"
-    )
-    # Both configurations execute the identical exploration.
-    assert steps == legacy_steps
 
     record(
         "tase_steps",
@@ -76,8 +70,6 @@ def test_tase_steps_per_second(record, bench_json):
             "TASE single-core throughput (cold, superblock driver)",
             f"corpus: {len(codes)} unique contracts, {steps:,} steps",
             f"superblock+priority: {rate:,.0f} steps/s",
-            f"legacy lifo driver : {legacy_rate:,.0f} steps/s "
-            f"(same-process comparison)",
             f"committed seed baseline: "
             f"{SEED_BASELINE_STEPS_PER_SECOND:,.0f} steps/s "
             "(derived from the seed throughput section)",
@@ -91,7 +83,6 @@ def test_tase_steps_per_second(record, bench_json):
             "contracts": len(codes),
             "steps": steps,
             "steps_per_second": round(rate, 2),
-            "steps_per_second_legacy_driver": round(legacy_rate, 2),
             "baseline_steps_per_second": SEED_BASELINE_STEPS_PER_SECOND,
             "speedup_vs_baseline": round(
                 rate / SEED_BASELINE_STEPS_PER_SECOND, 3

@@ -27,8 +27,8 @@ access.  The default pipeline:
   (:mod:`repro.analysis.lint`).
 
 :func:`repro.analysis.report.analyze` opens that context; the resulting
-:class:`~repro.analysis.report.ContractAnalysis` view doubles as the
-TASE engine's pruning oracle and ``SigRec``'s cross-check source, and
+:class:`~repro.analysis.report.ContractAnalysis` view doubles as
+``SigRec``'s shard planner and cross-check source, and
 :func:`~repro.analysis.report.build_profile` folds it (plus recovered
 signatures) into the deterministic contract-profile document.
 """

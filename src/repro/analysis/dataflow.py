@@ -71,7 +71,8 @@ class ResolvedCFG:
     #: (taking the jump with one of these always throws).
     invalid_targets: Dict[int, FrozenSet[int]]
     #: True when the fixpoint hit its safety valve; resolution data is
-    #: then a partial under-approximation and must not drive pruning.
+    #: then a partial under-approximation and must not drive sharding
+    #: or function-memo keys.
     incomplete: bool = False
 
     @property

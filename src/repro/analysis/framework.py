@@ -1,9 +1,8 @@
 """The analysis pass manager: many clients, one pipeline.
 
-The static layer started life with a single client (TASE fork pruning)
-and a single hard-wired call chain.  It now serves several — pruning,
-selector cross-checking, function-body memo keys, storage-layout
-recovery, linting, contract profiles — so the chain is generalized into
+The static layer serves several clients — selector sharding and
+cross-checking, function-body memo keys, storage-layout recovery,
+linting, contract profiles — so its call chain is generalized into
 an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
 
 * each pass names the products it **requires** and the one it
@@ -17,9 +16,9 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
   reads only cfg/jumps/dispatcher, and the passes only ``abi``,
   ``profile`` and ``lint`` read stay unrun until one of them asks;
 * each pass carries its own **schema version**.  What a pass *means*
-  determines what the engine may prune and what a cached recovery
-  contains, so the per-pass versions are folded into the persistent
-  cache / function-memo fingerprint (:func:`pass_versions`,
+  determines how a recovery is sharded and memoized and what a cached
+  recovery contains, so the per-pass versions are folded into the
+  persistent cache / function-memo fingerprint (:func:`pass_versions`,
   :mod:`repro.sigrec.cache`) — bumping one pass invalidates exactly the
   results that could depend on it;
 * every pass runs under a :func:`repro.obs.phase_span`
@@ -54,12 +53,12 @@ class AnalysisPass:
     """One static-analysis pass.
 
     ``version`` is the pass's schema version: bump it whenever the
-    pass's semantics change in a way that affects what the engine may
-    prune, what the linter reports, or what a profile contains.  The
-    per-pass versions reach the persistent result cache and the
-    function-body memo through :func:`pass_versions`, so a bump lands
-    cached recoveries in a fresh tree instead of silently reusing stale
-    ones.
+    pass's semantics change in a way that affects how a recovery is
+    sharded or memoized, what the linter reports, or what a profile
+    contains.  The per-pass versions reach the persistent result cache
+    and the function-body memo through :func:`pass_versions`, so a bump
+    lands cached recoveries in a fresh tree instead of silently reusing
+    stale ones.
     """
 
     name: str

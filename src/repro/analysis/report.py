@@ -7,20 +7,18 @@ resolution and dispatcher at once (every consumer reads them) and each
 other pass product — stack verification, storage layout,
 reachability, mutability, return shapes, lint findings — on first
 read.  The view is the linter's input, the profile's source, and the
-TASE engine's pruning oracle.  ``analyze`` is *total*: it never raises
+shard planner's dispatcher map.  ``analyze`` is *total*: it never raises
 on arbitrary byte strings (junk decodes to UNKNOWN instructions, which
 the passes treat as opaque path ends).
 
-The engine-facing derived data is computed lazily too:
+Two derived views are computed lazily too:
 
 * ``silent_halt_blocks`` — blocks that provably halt without emitting
   any TASE event (only PUSH/POP/JUMPDEST plus a STOP/REVERT/INVALID
-  terminator): a symbolic path entering one can be cut immediately;
+  terminator), shown by ``repro inspect``;
 * ``closed_regions`` — per-selector statically reachable block sets,
-  present only when every jump inside the region is resolved (an open
-  region must not restrict the engine);
-* ``unique_jump_targets`` — jump sites the dataflow proved one-target,
-  letting the engine continue where it would otherwise abandon a path.
+  present only when every jump inside the region is resolved; only a
+  closed region yields a function-memo preimage.
 
 This module also defines the **contract profile**: the one-document
 description of everything the static layer and the recovery engine
@@ -103,7 +101,6 @@ class ContractAnalysis:
         self.dispatcher: DispatcherReport = context["dispatcher"]
         self._silent_halts: Optional[FrozenSet[int]] = None
         self._closed_regions: Optional[Dict[int, FrozenSet[int]]] = None
-        self._unique_targets: Optional[Dict[int, int]] = None
 
     @property
     def stack(self) -> StackReport:
@@ -137,7 +134,7 @@ class ContractAnalysis:
     def selectors(self) -> Tuple[int, ...]:
         return self.dispatcher.selectors
 
-    # -- engine-facing derived data ------------------------------------
+    # -- derived views -------------------------------------------------
 
     @property
     def silent_halt_blocks(self) -> FrozenSet[int]:
@@ -145,7 +142,7 @@ class ContractAnalysis:
 
         Function entry blocks are excluded even when silent (an empty
         public function's body is PUSH/POP/STOP): entering one is how
-        the engine *discovers* the selector, which is an observation.
+        TASE *discovers* the selector, which is an observation.
         """
         if self._silent_halts is None:
             silent = set()
@@ -208,22 +205,6 @@ class ContractAnalysis:
         if self.cfg.incomplete or selector not in self.closed_regions:
             return None
         return region_preimage(self.cfg, self.dispatcher, self.bytecode, selector)
-
-    @property
-    def unique_jump_targets(self) -> Dict[int, int]:
-        """Jump pcs the dataflow resolved to exactly one valid target."""
-        if self._unique_targets is None:
-            unique: Dict[int, int] = {}
-            if not self.cfg.incomplete:
-                for pc, targets in self.cfg.resolved_targets.items():
-                    if (
-                        len(targets) == 1
-                        and pc not in self.cfg.unresolved_jumps
-                        and pc not in self.cfg.invalid_targets
-                    ):
-                        unique[pc] = next(iter(targets))
-            self._unique_targets = unique
-        return self._unique_targets
 
 
 def analyze(

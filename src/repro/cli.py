@@ -11,7 +11,7 @@ batch     Recover many contracts (parallel workers + persistent cache);
           exposes live ``/metrics`` + ``/healthz`` + ``/ledger/summary``
           while the batch runs.
 stats     Render a ``--metrics-out`` document for humans (top rules,
-          prune/cache ratios, slowest contracts; ``--prometheus`` for
+          cache ratios, slowest contracts; ``--prometheus`` for
           the text exposition).
 report    One document over every telemetry source: phase-time
           attribution, tier hit rates, hotspots, slowest exemplars and
@@ -173,7 +173,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         slowlog = SlowLog(k=args.slowlog_k)
     try:
         tool = SigRec(
-            prune=args.prune,
             sharded=args.shard,
             memo=args.memo,
             inference_memo=args.inference_memo,
@@ -700,15 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write structured span/event records to FILE (JSONL)",
-    )
-    p.add_argument(
-        "--prune", dest="prune", action="store_true", default=True,
-        help="suppress provably-silent TASE forks via static analysis "
-        "(output-preserving; default on for batch)",
-    )
-    p.add_argument(
-        "--no-prune", dest="prune", action="store_false",
-        help="disable static pruning",
     )
     p.add_argument(
         "--unit-size", type=int, default=None, metavar="K",

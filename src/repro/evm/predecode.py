@@ -17,7 +17,7 @@ binds one domain class, once per ``(bytecode, domain class)`` pair:
   C-speed ``bytearray.find`` plus a tuple slice of the shared entry
   list, so overlapping blocks (a JUMPDEST mid-run) share slot entries
   instead of re-decoding them;
-* the per-pc index and legacy-shaped dispatch dict build on first use.
+* the per-pc index and per-pc dispatch dict build on first use.
 
 Superblock entries are the initial pc, JUMPDESTs and JUMPI
 fall-throughs.  Repeated explorations — per-selector shards, replay
@@ -246,11 +246,6 @@ class DecodedProgram:
     # -- lazily materialized per-pc views -------------------------------
 
     @property
-    def handlers(self) -> List:
-        """Pre-bound handler per instruction slot."""
-        return [entry[2] for entry in self._entries]
-
-    @property
     def by_pc(self) -> Dict[int, Instruction]:
         """pc -> instruction (lazy: only diagnostics walk it)."""
         index = self._by_pc
@@ -263,9 +258,9 @@ class DecodedProgram:
     def dispatch(self) -> Dict[int, tuple]:
         """Per-pc dispatch: ``pc -> (ins, handler, gas, next_pc)``.
 
-        The shape the per-step drivers (concrete interpreter, legacy
-        TASE driver, differential replay) consume; built once per
-        program on first use.
+        The shape the per-step drivers (concrete interpreter,
+        differential replay) consume; built once per program on first
+        use.
         """
         table = self._dispatch
         if table is None:
@@ -285,8 +280,8 @@ class DecodedProgram:
 
         Returns ``None`` when ``pc`` is not an instruction start —
         past the end of code, or inside a PUSH immediate — which a
-        driver treats exactly like the legacy dispatch-miss: the path
-        ends as if running off the code.
+        driver treats like a per-pc dispatch miss: the path ends as if
+        running off the code.
         """
         blocks = self._blocks
         block = blocks.get(pc, _UNBUILT)

@@ -1,7 +1,7 @@
-"""Hot-loop step attribution for the superblock TASE driver.
+"""Hot-loop step attribution for the TASE driver.
 
-The superblock driver executes straight-line runs as one fused loop, so
-the natural attribution unit is the *superblock entry pc*: the driver
+The TASE driver executes straight-line runs as one fused loop, so the
+natural attribution unit is the *superblock entry pc*: the driver
 calls :meth:`HotLoopProfiler.record_block` once per block transition
 with the entry pc and the number of steps charged while the block was
 current (body steps plus its control op, including truncation probes).
@@ -19,9 +19,7 @@ Two modes:
   threshold.  Cheaper bookkeeping per call and statistically the same
   table on hot contracts: the production mode.
 
-The legacy per-opcode driver is not attributed (use ``step_hook`` for
-per-pc tracing there); profiles are meaningful for the default
-superblock driver only.
+Per-instruction tracing is the engine's ``step_hook``, not the profiler.
 """
 
 from __future__ import annotations

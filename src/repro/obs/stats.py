@@ -3,8 +3,8 @@
 Takes the JSON document written by ``--metrics-out`` (optionally plus
 the JSONL trace from ``--trace-out``) and answers the questions the
 paper's evaluation answers with tables: how much work did TASE do,
-which rules carry the recovery, how effective are pruning and the
-cache, where did the wall-clock go, and which contracts were slowest.
+which rules carry the recovery, how effective is the cache, where did
+the wall-clock go, and which contracts were slowest.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def render_stats(
     steps = counters.get("tase.steps", 0)
     runs = counters.get("tase.runs", 0)
     forks = counters.get("tase.forks", 0)
-    suppressed = counters.get("tase.forks_suppressed", 0)
     exhaustions = counters.get("tase.budget_exhaustions", 0)
     # Single-core symbolic throughput: steps over the tase phase's
     # wall-clock (the same ratio BENCH_throughput.json freezes as
@@ -67,9 +66,7 @@ def render_stats(
         )
     )
     lines.append(
-        f"  forks taken {forks:,} | suppressed by pruning {suppressed:,} "
-        f"(prune ratio {_ratio(suppressed, forks + suppressed)}) | "
-        f"branch-budget exhaustions {exhaustions:,}"
+        f"  forks taken {forks:,} | branch-budget exhaustions {exhaustions:,}"
     )
     truncations = _labelled_counters(counters, "tase.truncations", "reason")
     if truncations:

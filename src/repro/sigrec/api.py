@@ -98,11 +98,8 @@ class SigRec:
         loop_bound: int = 420,
         max_path_steps: int = 60_000,
         semantic_idioms: bool = True,
-        scheduler: str = "priority",
-        driver: str = "superblock",
         coarse_only: bool = False,
         static_check: bool = True,
-        prune: bool = False,
         sharded: bool = True,
         memo: bool = True,
         memo_dir: Optional[str] = None,
@@ -130,12 +127,8 @@ class SigRec:
         self.coarse_only = coarse_only
         # ``static_check`` cross-validates TASE's selector set against
         # the static dispatcher analysis after every ``recover`` (see
-        # :attr:`last_diagnostics`); ``prune`` additionally hands the
-        # analysis to the engine as a pruning oracle.  Pruning is
-        # output-preserving by construction but off by default so the
-        # baseline configuration stays byte-for-byte the historical one.
+        # :attr:`last_diagnostics`).
         self.static_check = static_check
-        self.prune = prune
         # ``sharded`` makes the *function* the unit of recovery: when
         # the static analysis fully resolves the dispatcher, each
         # selector is explored as an independent shard (own path/step
@@ -187,14 +180,6 @@ class SigRec:
             loop_bound=loop_bound,
             max_path_steps=max_path_steps,
             semantic_idioms=semantic_idioms,
-            # Path scheduling and step driver ride in the engine opts so
-            # they reach every engine construction *and* the cache/memo
-            # fingerprint via :meth:`options`: the driver is
-            # output-preserving by construction, but the scheduler
-            # changes which paths survive a truncated walk, so cached
-            # recoveries must be keyed by both.
-            scheduler=scheduler,
-            driver=driver,
         )
         from repro.sigrec.cache import LRU
 
@@ -214,7 +199,6 @@ class SigRec:
         opts = dict(self._engine_opts)
         opts["coarse_only"] = self.coarse_only
         opts["static_check"] = self.static_check
-        opts["prune"] = self.prune
         opts["sharded"] = self.sharded
         opts["memo"] = self.memo
         opts["inference_memo"] = self.inference_memo
@@ -265,14 +249,11 @@ class SigRec:
             self._analysis_memo.put(digest, analysis)
         return analysis
 
-    def _run_engine(
-        self, bytecode: bytes, analysis: Optional[ContractAnalysis] = None
-    ) -> TASEResult:
+    def _run_engine(self, bytecode: bytes) -> TASEResult:
         """Run TASE and remember the result for a follow-up ``explain``."""
         with phase_span(self.metrics, self.tracer, "disasm"):
             engine = TASEEngine(
                 bytecode,
-                analysis=analysis if self.prune else None,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,
@@ -315,7 +296,7 @@ class SigRec:
             self.metrics, self.tracer, "recover", bytes=len(bytecode)
         ):
             analysis: Optional[ContractAnalysis] = None
-            if self.static_check or self.prune or self.sharded:
+            if self.static_check or self.sharded:
                 analysis = self._analyze(bytecode)
             plan = self._shard_plan(analysis)
             memo_hits: Dict[int, object] = {}
@@ -327,7 +308,7 @@ class SigRec:
                 )
             else:
                 self.last_strategy = "monolithic"
-                result = self._run_engine(bytecode, analysis)
+                result = self._run_engine(bytecode)
             recovered = self._infer(
                 result, only, exclude, memo_hits, memo_keys
             )
@@ -402,7 +383,6 @@ class SigRec:
                 "steps": result.total_steps,
                 "paths": result.paths_explored,
                 "forks": result.forks_taken,
-                "forks_suppressed": result.pruned_forks,
                 "budget_exhaustions": result.budget_exhaustions,
                 "truncated_paths": result.truncated_paths,
                 "truncated_steps": result.truncated_steps,
@@ -457,7 +437,6 @@ class SigRec:
         with phase_span(self.metrics, self.tracer, "disasm"):
             engine = TASEEngine(
                 bytecode,
-                analysis=analysis if self.prune else None,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,

@@ -60,8 +60,8 @@ def options_fingerprint(options: Dict[str, object]) -> str:
     """A short stable digest of the engine/inference options.
 
     The *per-pass* analysis schema versions are part of the payload:
-    with pruning or cross-checking enabled, what an analysis pass
-    *means* changes what the engine may skip, so bumping any single
+    what an analysis pass *means* changes the shard plan, the
+    function-memo preimages and the cross-check, so bumping any single
     pass version (:func:`repro.analysis.framework.pass_versions`) lands
     cached results — and every function-memo entry, which shares this
     fingerprint — in a fresh tree.  The inference-memo schema version

@@ -283,13 +283,13 @@ def symbolic_replay(
     )
     domain.bind(
         _State(pc=0, stack=[], memory=SymMemory(), guards=(),
-               fn=None, fork_visits={}, loop_visits={})
+               fn=None, loop_visits={})
     )
     try:
         if driver == "predecoded":
             _drive_predecoded(bytecode, domain, result, max_steps)
         else:
-            _drive_legacy(engine, domain, result, max_steps)
+            _drive_legacy(bytecode, domain, result, max_steps)
     except Reverted as exc:
         result.error = "revert"
         result.return_data = exc.data
@@ -343,7 +343,7 @@ def _drive_predecoded(
 
 
 def _drive_legacy(
-    engine: TASEEngine,
+    bytecode: bytes,
     domain: ReplayDomain,
     result: ExecutionResult,
     max_steps: int,
@@ -358,7 +358,7 @@ def _drive_legacy(
     table = dispatch_table(ReplayDomain)
     dispatch = {
         ins.pc: (ins, table[ins.op.code], ins.op.gas)
-        for ins in engine._instructions
+        for ins in _decode_program(bytecode, ReplayDomain).instructions
     }
     stack = domain.stack
     pc = 0

@@ -24,9 +24,7 @@ Design choices that mirror the paper:
 * values read from the environment (CALLER, SLOAD, ...) are free
   symbols;
 * a JUMP whose target is input-dependent stops the path (§4.2 notes
-  only 5 mainnet contracts contain such jumps) — unless the static
-  dataflow (:mod:`repro.analysis`) proved the site has exactly one
-  valid target, in which case exploration continues there;
+  only 5 mainnet contracts contain such jumps);
 * comparison operators are *not* constant-folded at expression build
   time, so loop guards retain their structure (``lt(i, bound)``) and
   the engine evaluates them on demand — this is how TASE can count
@@ -37,12 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.evm.predecode import decode as _decode_program
-
-if TYPE_CHECKING:
-    from repro.analysis.report import ContractAnalysis
 from repro.evm.semantics import HALT, Domain
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.profiler import HotLoopProfiler
@@ -119,10 +114,6 @@ def _eval_const_uncached(e: E.Expr) -> Optional[int]:
 def _cmp(op: str, a: E.Expr, b: E.Expr) -> E.Expr:
     """Build an *unfolded* comparison so guards keep their structure."""
     return E.Expr(op, (a, b))
-
-
-def _iszero(a: E.Expr) -> E.Expr:
-    return E.Expr("iszero", (a,))
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +215,6 @@ class _State:
     memory: SymMemory
     guards: Tuple[Guard, ...]
     fn: Optional[int]  # selector of the current function context
-    fork_visits: Dict[int, int]
     loop_visits: Dict[int, int]
     steps: int = 0
 
@@ -235,7 +225,6 @@ class _State:
             memory=self.memory.clone(),
             guards=self.guards,
             fn=self.fn,
-            fork_visits=dict(self.fork_visits),
             loop_visits=dict(self.loop_visits),
             steps=self.steps,
         )
@@ -249,11 +238,8 @@ class TASEResult:
     selectors: List[int]
     paths_explored: int = 0
     hit_limits: bool = False
-    #: Instructions stepped over the whole run (the pruning metric).
+    #: Instructions stepped over the whole run.
     total_steps: int = 0
-    #: JUMPI forks the static analysis proved observationally silent
-    #: and therefore suppressed (0 unless an analysis was supplied).
-    pruned_forks: int = 0
     #: Symbolic JUMPI forks where both sides were explored (a state clone).
     forks_taken: int = 0
     #: Symbolic JUMPI visits where at least one side was dropped because
@@ -265,8 +251,7 @@ class TASEResult:
     #: ...or the per-run/per-path step ceilings cut exploration short.
     truncated_steps: bool = False
     #: Pending worklist states discarded without being explored when
-    #: ``max_paths`` tripped (both at the scheduler pop and at the
-    #: in-handler worklist clear).  0 on an untruncated run.
+    #: ``max_paths`` tripped.  0 on an untruncated run.
     abandoned_states: int = 0
     #: True when this result came from (or was merged out of) per-selector
     #: shard explorations rather than one monolithic worklist.
@@ -289,7 +274,6 @@ def merge_tase_results(parts: List[TASEResult]) -> TASEResult:
             merged.functions.setdefault(selector, events)
         merged.paths_explored += part.paths_explored
         merged.total_steps += part.total_steps
-        merged.pruned_forks += part.pruned_forks
         merged.forks_taken += part.forks_taken
         merged.budget_exhaustions += part.budget_exhaustions
         merged.abandoned_states += part.abandoned_states
@@ -308,37 +292,30 @@ def merge_tase_results(parts: List[TASEResult]) -> TASEResult:
 class _Worklist:
     """Pending-path scheduler: priority order with a LIFO tiebreak.
 
-    ``mode="lifo"`` is the historical stack discipline.
-    ``mode="priority"`` pops by score first: dispatcher states (``fn is
-    None`` — the paths that distinguish selectors) before function-body
-    states, and among dispatcher states shallower guard depth before
-    deeper; *within* a score, most-recently-pushed first — exactly the
-    LIFO order.  Function-body states carry no depth term: their
-    exploration order stays pure LIFO, which keeps each function's
-    subtree contiguous and its event/budget interleaving identical to
-    the historical engine (pruned/unpruned and sharded/monolithic
-    equivalence depend on that).  Scores are integer tuples and the
-    tiebreak sequence number is unique, so heap comparisons never reach
-    the states themselves and the pop order is fully deterministic.
+    Pops by score first: dispatcher states (``fn is None`` — the paths
+    that distinguish selectors) before function-body states, and among
+    dispatcher states shallower guard depth before deeper; *within* a
+    score, most-recently-pushed first.  Function-body states carry no
+    depth term: their exploration order is pure LIFO, which keeps each
+    function's subtree contiguous and its event/budget interleaving the
+    same in a selector shard as in the monolithic walk (the sharded
+    recovery's equivalence depends on that).  Scores are integer tuples
+    and the tiebreak sequence number is unique, so heap comparisons
+    never reach the states themselves and the pop order is fully
+    deterministic.
 
     The point is budget quality, not raw speed: when ``max_paths`` or
     the step ceilings trip, the states still queued — and therefore
     truncated — are the deepest, least selector-distinguishing ones.
     """
 
-    __slots__ = ("_mode", "_items", "_seq")
+    __slots__ = ("_items", "_seq")
 
-    def __init__(self, mode: str) -> None:
-        if mode not in ("priority", "lifo"):
-            raise ValueError(f"unknown scheduler: {mode!r}")
-        self._mode = mode
+    def __init__(self) -> None:
         self._items: List = []
         self._seq = 0
 
     def append(self, state: "_State") -> None:
-        if self._mode == "lifo":
-            self._items.append(state)
-            return
         self._seq += 1
         heappush(
             self._items,
@@ -351,12 +328,7 @@ class _Worklist:
         )
 
     def pop(self) -> "_State":
-        if self._mode == "lifo":
-            return self._items.pop()
         return heappop(self._items)[-1]
-
-    def clear(self) -> None:
-        self._items.clear()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -676,16 +648,9 @@ class SymbolicDomain(Domain):
     def jump(self, ins, target):
         engine = self.engine
         value = eval_const(target)
-        if value is None:
-            # Input-dependent jump: normally the end of the path, but
-            # when the static dataflow proved this site has exactly one
-            # valid target, continue there instead of giving up.
-            value = engine._unique_targets.get(ins.pc)
-            if value is None:
-                return HALT
-        if value not in engine._jumpdests:
-            return HALT
-        if not engine._region_allows(self.state.fn, value):
+        # An input-dependent jump ends the path, like one to a byte that
+        # is not a JUMPDEST.
+        if value is None or value not in engine._jumpdests:
             return HALT
         if not engine._note_loop(self.state, value):
             return HALT
@@ -696,9 +661,7 @@ class SymbolicDomain(Domain):
         state = self.state
         tvalue = eval_const(target)
         if tvalue is None:
-            tvalue = engine._unique_targets.get(ins.pc)
-            if tvalue is None:
-                return HALT
+            return HALT
         cvalue = eval_const(cond)
         if cvalue is not None:
             taken = bool(cvalue)
@@ -746,35 +709,8 @@ class SymbolicDomain(Domain):
         fall_budget = budget.get((ins.pc, False), engine.fork_bound)
         if take_budget <= 0 or fall_budget <= 0:
             engine._budget_exhaustions += 1
-        explore_taken = (
-            take_budget > 0
-            and tvalue in engine._jumpdests
-            and engine._region_allows(state.fn, tvalue)
-        )
+        explore_taken = take_budget > 0 and tvalue in engine._jumpdests
         explore_fall = fall_budget > 0
-        if explore_taken and selector is None and tvalue in engine._silent_halts:
-            # The taken side provably halts without emitting any event
-            # (and is not a dispatcher match, whose entry *is* the
-            # observation), so exploring it is pure overhead.  Emulate
-            # the unpruned run's accounting exactly: both budgets are
-            # decremented as they would have been, and the fall-side
-            # fork is *pushed* — not explored inline — so the worklist
-            # holds the same states in the same push order as the
-            # unpruned run and any scheduler (LIFO or priority) pops
-            # them identically.  Only the silent block's own steps are
-            # skipped: this state halts here instead of wandering into
-            # the provably event-free block.
-            budget[(ins.pc, True)] = take_budget - 1
-            if not explore_fall:
-                # The unpruned run would merely die inside the silent
-                # block; skip those steps.
-                return HALT
-            engine._pruned_forks += 1
-            budget[(ins.pc, False)] = fall_budget - 1
-            fallthrough = state.fork(ins.next_pc)
-            fallthrough.guards = state.guards + (Guard(cond, False, ins.pc),)
-            self.worklist.append(fallthrough)
-            return HALT
         if explore_fall:
             budget[(ins.pc, False)] = fall_budget - 1
             if explore_taken:
@@ -816,16 +752,7 @@ class SymbolicDomain(Domain):
 
 
 class TASEEngine:
-    """Explores one contract and collects type-inference events.
-
-    An optional :class:`~repro.analysis.report.ContractAnalysis` turns
-    on static pruning: JUMPI forks into provably event-free halting
-    blocks are suppressed (with path/budget accounting emulated so the
-    result is bit-for-bit what the unpruned run produces), exploration
-    inside a function is fenced to its statically reachable region, and
-    symbolic JUMPs the dataflow resolved to a unique target continue
-    instead of ending the path.
-    """
+    """Explores one contract and collects type-inference events."""
 
     def __init__(
         self,
@@ -837,20 +764,17 @@ class TASEEngine:
         max_path_steps: int = 60_000,
         semantic_idioms: bool = True,
         step_hook: Optional[Callable] = None,
-        analysis: Optional["ContractAnalysis"] = None,
         metrics: Optional[MetricsRegistry] = None,
         profiler: Optional[HotLoopProfiler] = None,
-        scheduler: str = "priority",
-        driver: str = "superblock",
     ) -> None:
         self.bytecode = bytecode
         # The registry only sees aggregate tallies published once per
         # ``run()`` — the hot loop keeps plain ints and never reads a
         # clock, so disabled observability costs one identity check.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Hot-loop step attribution, superblock driver only: charged
-        # once per block transition, so the per-step path never sees it
-        # and the disabled cost is one ``is not None`` per superblock.
+        # Hot-loop step attribution: charged once per block transition,
+        # so the per-step path never sees it and the disabled cost is
+        # one ``is not None`` per superblock.
         self.profiler = profiler
         self.max_total_steps = max_total_steps
         self.max_paths = max_paths
@@ -868,17 +792,6 @@ class TASEEngine:
         # step_hook(pc, stack) fires before each instruction, exactly
         # like the concrete interpreter's hook — the stack holds Exprs.
         self.step_hook = step_hook
-        # Path scheduling ("priority" | "lifo") and step driver
-        # ("superblock" | "legacy").  Both are part of the cache/options
-        # fingerprint upstream: the driver is output-preserving by
-        # construction, but the scheduler changes which paths survive a
-        # budget trip, so results are only comparable per configuration.
-        if scheduler not in ("priority", "lifo"):
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
-        if driver not in ("superblock", "legacy"):
-            raise ValueError(f"unknown driver: {driver!r}")
-        self.scheduler = scheduler
-        self.driver = driver
         # Per-contract expression interning arena: every Expr the
         # symbolic domain builds is hash-consed here and dies with the
         # engine (no process-global cache, no size cliff).
@@ -890,48 +803,20 @@ class TASEEngine:
         self._env_counter = 0
         # Global symbolic-branch budgets, keyed by (jumpi pc, side).
         self._branch_budget: Dict[Tuple[int, bool], int] = {}
-        # Static-analysis pruning oracles (all empty without an
-        # analysis, so every check below degrades to a no-op).  An
-        # incomplete dataflow fixpoint yields no oracles either: a
-        # truncated analysis must never restrict exploration.
-        self.analysis = analysis
-        self._silent_halts: FrozenSet[int] = frozenset()
-        self._unique_targets: Dict[int, int] = {}
-        self._regions: Dict[int, FrozenSet[int]] = {}
-        if analysis is not None and not analysis.cfg.incomplete:
-            self._silent_halts = analysis.silent_halt_blocks
-            self._unique_targets = analysis.unique_jump_targets
-            self._regions = analysis.closed_regions
         self._paths = 0
-        self._pruned_forks = 0
         self._forks_taken = 0
         self._budget_exhaustions = 0
         # Sharded exploration state: ``None`` for the monolithic walk,
         # else ``(target selector or None, frozenset of known
         # selectors)`` — see :meth:`run_selector` / :meth:`run_residual`.
         self._pin: Optional[Tuple[Optional[int], FrozenSet[int]]] = None
-        # Legacy per-pc dispatch map, built on first use by the legacy
-        # driver (the superblock driver reads the program directly).
-        self._dispatch: Optional[Dict[int, tuple]] = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def _instructions(self):
-        """The full instruction stream (lazy — the superblock driver
-        never needs it; the legacy driver and replay harness do)."""
-        return self._program.instructions
-
-    @property
-    def _by_pc(self):
-        """pc -> instruction (lazy — only diagnostics ever walk it)."""
-        return self._program.by_pc
 
     def _reset(self) -> None:
         """Fresh mutable exploration state (budgets are per exploration)."""
         self._branch_budget = {}
         self._paths = 0
-        self._pruned_forks = 0
         self._forks_taken = 0
         self._budget_exhaustions = 0
         self._pin = None
@@ -941,7 +826,7 @@ class TASEEngine:
         self._reset()
         result = TASEResult(functions={}, selectors=[])
         self._explore(result)
-        self._publish_metrics(result)
+        self.publish_metrics(result)
         return result
 
     def run_selector(self, selector: int, known: FrozenSet[int]) -> TASEResult:
@@ -980,23 +865,19 @@ class TASEEngine:
         """Drive the worklist until exhaustion or a budget trip."""
         initial = _State(
             pc=0, stack=[], memory=SymMemory(self.arena), guards=(),
-            fn=None, fork_visits={}, loop_visits={},
+            fn=None, loop_visits={},
         )
-        worklist = _Worklist(self.scheduler)
+        worklist = _Worklist()
         worklist.append(initial)
         domain = SymbolicDomain(self, result, worklist)
-        if self.driver == "superblock":
-            total_steps = self._drive_superblock(result, worklist, domain)
-        else:
-            total_steps = self._drive_legacy(result, worklist, domain)
+        total_steps = self._drive(result, worklist, domain)
         result.paths_explored += self._paths
         result.total_steps += total_steps
-        result.pruned_forks += self._pruned_forks
         result.forks_taken += self._forks_taken
         result.budget_exhaustions += self._budget_exhaustions
         result.selectors = sorted(result.functions.keys())
 
-    def _drive_superblock(
+    def _drive(
         self, result: TASEResult, worklist: _Worklist, domain: SymbolicDomain
     ) -> int:
         """Fused superblock driver over the pre-decoded program.
@@ -1006,9 +887,18 @@ class TASEEngine:
         checks hoisted in front of the run; the pure stack-shuffle ops
         (PUSH/DUP/SWAP/POP — about half of all executed steps) are
         inlined on their kind tag instead of paying a handler call.
-        Per-step accounting (total/path step counters, truncation
-        points, the off-end probe, hook firing) is bit-for-bit the
-        legacy driver's.
+
+        Accounting is per instruction, whichever loop runs a block.
+        Each instruction reached costs one ``total_steps`` before the
+        budget check, so the attempt that trips ``max_total_steps`` is
+        counted; a path is cut before its next instruction once it has
+        executed more than ``max_path_steps``; the hook fires after the
+        check and before the instruction; a stack underflow counts the
+        instruction that underflowed and ends the path; and a pc with
+        no instruction (past the end of code, or inside a PUSH
+        immediate) costs one counted probe, then ends the path.
+        ``tests/sigrec/test_engine_accounting.py`` pins these tallies on
+        truncated, malformed and off-end runs.
         """
         block_of = self._program.block
         hook = self.step_hook
@@ -1036,9 +926,8 @@ class TASEEngine:
             block = block_of(state.pc)
             while True:
                 if block is None:
-                    # No instruction at this pc: mirror the legacy
-                    # dispatch miss — one counted probe, then the path
-                    # ends as if running off the code.
+                    # No instruction at this pc: one counted probe, then
+                    # the path ends as if running off the code.
                     total += 1
                     if total > max_total or steps > max_path:
                         result.hit_limits = True
@@ -1109,7 +998,7 @@ class TASEEngine:
                 ctrl = block.ctrl
                 if ctrl is None:
                     # The instruction stream ends without a control op:
-                    # the legacy driver's off-end probe.
+                    # the off-end probe.
                     total += 1
                     if total > max_total or steps > max_path:
                         result.hit_limits = True
@@ -1149,68 +1038,8 @@ class TASEEngine:
                 prof.record_block(bpc, total - mark)
         return total
 
-    def _drive_legacy(
-        self, result: TASEResult, worklist: _Worklist, domain: SymbolicDomain
-    ) -> int:
-        """The historical per-opcode driver: one dict lookup per step.
-
-        Kept as the differential baseline for the superblock driver —
-        equivalence tests run both and require identical results — and
-        as the reference for the per-step accounting the fused driver
-        must reproduce.
-        """
-        dispatch = self._dispatch
-        if dispatch is None:
-            dispatch = {
-                ins.pc: (ins, handler)
-                for ins, handler in zip(
-                    self._program.instructions, self._program.handlers
-                )
-            }
-            self._dispatch = dispatch
-        hook = self.step_hook
-        max_path_steps = self.max_path_steps
-        total_steps = 0
-        while worklist:
-            state = worklist.pop()
-            self._paths += 1
-            if self._paths > self.max_paths:
-                result.hit_limits = True
-                result.truncated_paths = True
-                result.abandoned_states += 1 + len(worklist)
-                break
-            domain.bind(state)
-            while True:
-                total_steps += 1
-                if total_steps > self.max_total_steps or state.steps > max_path_steps:
-                    result.hit_limits = True
-                    result.truncated_steps = True
-                    break
-                entry = dispatch.get(state.pc)
-                if entry is None:
-                    break
-                ins, handler = entry
-                if hook is not None:
-                    hook(state.pc, state.stack)
-                state.steps += 1
-                try:
-                    control = handler(domain, ins)
-                except IndexError:
-                    break  # stack underflow: malformed path
-                if control is None:
-                    state.pc = ins.next_pc
-                elif control is HALT:
-                    break
-                else:
-                    state.pc = control
-        return total_steps
-
     def publish_metrics(self, result: TASEResult) -> None:
-        """Publish a (possibly merged) result's tallies to the registry."""
-        self._publish_metrics(result)
-
-    def _publish_metrics(self, result: TASEResult) -> None:
-        """Fold one run's tallies into the registry (phase boundary)."""
+        """Fold one (possibly merged) result's tallies into the registry."""
         metrics = self.metrics
         if metrics is NULL_REGISTRY:
             return
@@ -1218,7 +1047,6 @@ class TASEEngine:
         metrics.counter("tase.steps").inc(result.total_steps)
         metrics.counter("tase.paths").inc(result.paths_explored)
         metrics.counter("tase.forks").inc(result.forks_taken)
-        metrics.counter("tase.forks_suppressed").inc(result.pruned_forks)
         metrics.counter("tase.budget_exhaustions").inc(result.budget_exhaustions)
         metrics.counter("tase.functions").inc(len(result.selectors))
         if result.sharded:
@@ -1243,23 +1071,6 @@ class TASEEngine:
     def _fresh_env(self, stem: str) -> E.Expr:
         self._env_counter += 1
         return E.env(f"{stem}_{self._env_counter}")
-
-    def _region_allows(self, fn: Optional[int], target: int) -> bool:
-        """May a path inside function ``fn`` jump to block ``target``?
-
-        Only closed per-selector regions restrict anything; outside the
-        dispatcher (``fn is None``) or without a region for ``fn``,
-        everything is allowed.  For a *closed* region this check can
-        never reject a jump the symbolic executor would actually take —
-        the dataflow's resolved targets over-approximate the concrete
-        ones — so it changes nothing on well-analyzed code and only
-        fences off exploration when the oracle and the bytecode
-        disagree (e.g. a stale analysis for different code).
-        """
-        if fn is None:
-            return True
-        region = self._regions.get(fn)
-        return region is None or target in region
 
     def _note_loop(self, state: _State, target: int) -> bool:
         """Bound concrete revisits of a jump target; False ends the path."""

@@ -34,8 +34,6 @@ def test_render_stats_covers_every_section():
     for needle in (
         "engine",
         "paths 40",
-        "suppressed by pruning 10",
-        "prune ratio 25.0%",
         "max_paths: 2",
         "recovery",
         "rules (fired 12 times",

@@ -42,7 +42,7 @@ VARIANTS = [
 
 
 def _key(sig):
-    """Everything except the wall-clock timing (test_prune idiom)."""
+    """Everything except the wall-clock timing."""
     return (sig.selector, sig.param_types, sig.language,
             sig.fired_rules, sig.confidences)
 

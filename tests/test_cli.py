@@ -209,6 +209,25 @@ def test_batch_inference_memo_summary(token_hex, tmp_path, capsys):
     assert "infmemo" in captured.err
 
 
+def test_batch_and_library_share_one_cache(tmp_path, capsys):
+    """``repro batch`` builds the same tool as a default ``SigRec()``, so
+    a library run over the CLI's cache directory is served from it."""
+    from repro.corpus.export import load_corpus
+    from repro.sigrec.api import SigRec
+    from repro.sigrec.batch import BatchRecovery
+
+    corpus = tmp_path / "corpus"
+    cache_dir = str(tmp_path / "cache")
+    assert main(["export-corpus", str(corpus), "--contracts", "4"]) == 0
+    assert main(["batch", str(corpus), "--workers", "0",
+                 "--cache-dir", cache_dir]) == 0
+    capsys.readouterr()
+    codes = [case.contract.bytecode for case in load_corpus(str(corpus)).cases]
+    runner = BatchRecovery(tool=SigRec(), workers=0, cache_dir=cache_dir)
+    runner.recover_all(codes)
+    assert (runner.stats.cache_hits, runner.stats.cache_misses) == (4, 0)
+
+
 def test_batch_empty_source(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("\n")
@@ -414,8 +433,6 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert counters["cache.misses"] == 1
     assert counters["cache.hits"] == 1
     assert any(k.startswith("rules.fired{rule=") for k in counters)
-    # Pruning is the batch default, so suppressed forks are nonzero.
-    assert counters["tase.forks_suppressed"] > 0
 
     from repro.obs.trace import read_trace
 
@@ -429,23 +446,6 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert all(r["parent"] == batch_span["id"] for r in events)
     # The warm rerun rewrote the trace: its sole contract was cached.
     assert events[0]["attrs"].get("cached") is True
-
-
-def test_batch_no_prune_flag(token_hex, tmp_path, capsys):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(f"{token_hex}\n")
-    metrics_path = tmp_path / "m.json"
-    args = [
-        "batch", str(corpus), "--workers", "0", "--no-prune",
-        "--metrics-out", str(metrics_path),
-    ]
-    assert main(args) == 0
-    capsys.readouterr()
-
-    import json
-
-    counters = json.loads(metrics_path.read_text())["counters"]
-    assert counters["tase.forks_suppressed"] == 0
 
 
 def test_stats_renders_metrics_document(token_hex, tmp_path, capsys):
