@@ -110,9 +110,8 @@ def bench_json() -> Callable[[str, Mapping], None]:
     """Merge one benchmark's numbers into ``BENCH_throughput.json``.
 
     Payloads merge *within* their top-level section (several tests may
-    contribute keys to one section, e.g. accuracy and overhead both
-    feeding ``abi``); a partial benchmark invocation never clobbers the
-    other sections' numbers.
+    contribute keys to one section); a partial benchmark invocation
+    never clobbers the other sections' numbers.
     """
 
     def _bench_json(section: str, payload: Mapping) -> None:

@@ -14,8 +14,7 @@ benchmark gates two figures:
 * **cold end-to-end**: full ``SigRec.recover`` with indexed inference
   must beat the same corpus with the reference path forced, by 1.5x.
 
-Both figures land in ``BENCH_throughput.json`` under ``inference`` and
-are tracked by the perf-history trajectory gate.
+Both figures land in ``BENCH_throughput.json`` under ``inference``.
 """
 
 import time

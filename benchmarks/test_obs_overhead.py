@@ -11,10 +11,7 @@ Two bounds, two configurations:
   (closed-source, Vyper and obfuscated contracts).
 * **ledger-enabled** — turning the run ledger on (which auto-creates a
   real registry for phase attribution) must cost under 5% on a serial
-  batch over the throughput corpus.  The instrumented pass also feeds
-  the ``phases`` section of ``BENCH_throughput.json``, the baseline
-  ``repro report --check-perf`` uses to name the phase whose share of
-  wall time moved when a tier regresses.
+  batch over the throughput corpus.
 """
 
 import time
@@ -38,10 +35,6 @@ ROUNDS = 9
 
 LEDGER_OVERHEAD_LIMIT = 1.05
 LEDGER_ROUNDS = 7
-
-#: The non-overlapping top-level pipeline phases (``analysis.*`` nests
-#: inside ``static_analysis``; ``recover`` is the outer span).
-_TOP_PHASES = ("disasm", "static_analysis", "tase", "inference")
 
 
 def _bytecodes():
@@ -160,15 +153,12 @@ def _plain_batch(codes):
 def _ledgered_batch(codes):
     """The full bookkeeping path: ledger + auto-created registry."""
     ledger = RunLedger()
-    tool = SigRec(ledger=ledger)
-    runner = BatchRecovery(tool=tool, workers=0)
+    runner = BatchRecovery(tool=SigRec(ledger=ledger), workers=0)
     n = sum(len(r) for r in runner.recover_all(codes))
-    return n, ledger, tool.metrics
+    return n, ledger
 
 
-def test_ledger_enabled_batch_overhead_under_five_percent(
-    benchmark, record, bench_json
-):
+def test_ledger_enabled_batch_overhead_under_five_percent(benchmark, record):
     codes = _throughput_corpus()
 
     def run():
@@ -177,29 +167,22 @@ def test_ledger_enabled_batch_overhead_under_five_percent(
         _ledgered_batch(codes)
         ratios = []
         plain_n = ledgered_n = 0
-        ledger = registry = None
+        ledger = None
         for _round in range(LEDGER_ROUNDS):
             start = time.process_time()
             plain_n = _plain_batch(codes)
             plain_elapsed = time.process_time() - start
             start = time.process_time()
-            ledgered_n, ledger, registry = _ledgered_batch(codes)
+            ledgered_n, ledger = _ledgered_batch(codes)
             ledgered_elapsed = time.process_time() - start
             ratios.append(ledgered_elapsed / plain_elapsed)
-        return ratios, plain_n, ledgered_n, ledger, registry
+        return ratios, plain_n, ledgered_n, ledger
 
-    ratios, plain_n, ledgered_n, ledger, registry = benchmark.pedantic(
+    ratios, plain_n, ledgered_n, ledger = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     assert ledgered_n == plain_n > 0
     assert len(ledger.all_records()) == len(codes)
-
-    # Publish the phase-share baseline for report's mover attribution.
-    sums = registry.histogram_sums("phase.seconds", "phase")
-    top = {p: sums[p][0] for p in _TOP_PHASES if p in sums}
-    total = sum(top.values())
-    shares = {p: round(s / total, 6) for p, s in top.items()} if total else {}
-    bench_json("phases", shares)
 
     best_ratio = min(ratios)
     median_ratio = sorted(ratios)[len(ratios) // 2]
@@ -211,9 +194,6 @@ def test_ledger_enabled_batch_overhead_under_five_percent(
             f"paired rounds: {LEDGER_ROUNDS} (plain vs ledgered CPU time)",
             f"overhead ratio: best {best_ratio:.4f}, "
             f"median {median_ratio:.4f} (limit {LEDGER_OVERHEAD_LIMIT})",
-            "phase shares: " + ", ".join(
-                f"{p} {s:.1%}" for p, s in shares.items()
-            ),
         ],
     )
     assert best_ratio < LEDGER_OVERHEAD_LIMIT, (

@@ -10,12 +10,10 @@ batch     Recover many contracts (parallel workers + persistent cache);
           deep-observability payloads, and ``--serve-metrics PORT``
           exposes live ``/metrics`` + ``/healthz`` + ``/ledger/summary``
           while the batch runs.
-stats     Render a ``--metrics-out`` document for humans (top rules,
-          cache ratios, slowest contracts; ``--prometheus`` for
-          the text exposition).
 report    One document over every telemetry source: phase-time
-          attribution, tier hit rates, hotspots, slowest exemplars and
-          the perf-history trajectory (``--json`` for machines).
+          attribution, engine work, rules, tier hit rates, hotspots,
+          slowest contracts and exemplars (``--json`` for machines,
+          ``--prometheus`` for the metrics text exposition).
 serve-metrics
           Standalone telemetry endpoint over saved ``--metrics-out`` /
           ``--ledger-out`` documents.
@@ -270,21 +268,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    """Render a metrics document (and optional trace) for humans."""
-    from repro.obs import load_metrics, read_trace, render_prometheus, render_stats
-
-    doc = load_metrics(args.metrics)
-    if doc is None:
-        raise SystemExit(f"error: {args.metrics} is not a metrics document")
-    if args.prometheus:
-        sys.stdout.write(render_prometheus(doc))
-        return 0
-    trace_records = read_trace(args.trace) if args.trace else None
-    sys.stdout.write(render_stats(doc, trace_records, top=args.top))
-    return 0
-
-
 def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     """Standalone telemetry endpoint over saved documents."""
     from repro.obs.httpexp import TelemetryServer
@@ -316,52 +299,53 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """One document over every telemetry source this run produced."""
     import json
 
-    from repro.obs import load_metrics
-    from repro.obs.report import (
-        build_report,
-        perf_history_section,
-        render_report,
+    from repro.obs import (
+        SlowLog,
+        load_metrics,
+        read_ledger,
+        read_trace,
+        render_prometheus,
     )
+    from repro.obs.report import build_report, render_report
 
-    metrics_doc = ledger_records = slowlog = perf = None
+    metrics_doc = ledger_records = slowlog = trace_records = None
     if args.metrics:
         metrics_doc = load_metrics(args.metrics)
         if metrics_doc is None:
             raise SystemExit(
                 f"error: {args.metrics} is not a metrics document"
             )
+    if args.prometheus:
+        if metrics_doc is None:
+            raise SystemExit("error: --prometheus needs --metrics")
+        sys.stdout.write(render_prometheus(metrics_doc))
+        return 0
+    if args.trace:
+        trace_records = read_trace(args.trace)
     if args.ledger:
-        from repro.obs import read_ledger
-
         ledger_records = read_ledger(args.ledger)
     if args.slowlog:
-        from repro.obs import SlowLog
-
         try:
             slowlog = SlowLog.load(args.slowlog)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"error: cannot read {args.slowlog}: {exc}")
-    if args.check_perf:
-        perf = perf_history_section(args.bench, args.history)
     if metrics_doc is None and ledger_records is None and slowlog is None \
-            and perf is None:
+            and trace_records is None:
         raise SystemExit(
-            "error: nothing to report — give --metrics, --ledger, "
-            "--slowlog and/or --check-perf"
+            "error: nothing to report — give --metrics, --trace, --ledger "
+            "and/or --slowlog"
         )
     report = build_report(
         metrics_doc=metrics_doc,
         ledger_records=ledger_records,
         slowlog=slowlog,
-        perf=perf,
+        trace_records=trace_records,
         top=args.top,
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         sys.stdout.write(render_report(report, top=args.top))
-    if perf is not None and perf.get("status") == "regressed":
-        return 1
     return 0
 
 
@@ -754,21 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
-        "stats", help="summarize a --metrics-out document (and trace)"
-    )
-    p.add_argument("metrics", help="metrics JSON written by --metrics-out")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="JSONL trace from --trace-out (adds slowest contracts)")
-    p.add_argument("--top", type=int, default=10,
-                   help="rows per ranking section")
-    p.add_argument("--prometheus", action="store_true",
-                   help="emit the Prometheus text exposition instead")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser(
         "report",
-        help="phase attribution, tier hit rates, hotspots, slow "
-        "exemplars and the perf-history trajectory in one document",
+        help="phase attribution, engine work, rules, tier hit rates, "
+        "hotspots and slowest contracts in one document",
     )
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="metrics JSON written by batch --metrics-out")
@@ -776,17 +748,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run-ledger JSONL written by batch --ledger-out")
     p.add_argument("--slowlog", default=None, metavar="FILE",
                    help="slow-exemplar JSON written by batch --slowlog-out")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="JSONL trace from batch --trace-out (adds slowest "
+                   "contracts)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report document")
     p.add_argument("--top", type=int, default=10,
                    help="rows per ranking section")
-    p.add_argument("--check-perf", action="store_true",
-                   help="include the perf-history check; exit 1 when a "
-                   "tier regressed")
-    p.add_argument("--bench", default="BENCH_throughput.json",
-                   metavar="FILE", help="current benchmark document")
-    p.add_argument("--history", default="benchmarks/history", metavar="DIR",
-                   help="perf-history snapshot directory")
+    p.add_argument("--prometheus", action="store_true",
+                   help="emit the Prometheus text exposition of --metrics "
+                   "instead")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser(

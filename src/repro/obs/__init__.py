@@ -7,14 +7,14 @@ Three pieces, all process-local and dependency-free:
   :data:`NULL_REGISTRY` as the no-op disabled backend;
 * :mod:`repro.obs.trace` — a :class:`SpanTracer` emitting structured
   JSONL span/event records (:data:`NULL_TRACER` when disabled);
-* :mod:`repro.obs.prom` / :mod:`repro.obs.stats` — the Prometheus text
-  exposition and the human ``repro stats`` rendering of a document;
+* :mod:`repro.obs.prom` — the Prometheus text exposition of a document;
 * :mod:`repro.obs.ledger` — the append-only per-recovery run ledger;
 * :mod:`repro.obs.profiler` — superblock hot-loop step attribution;
 * :mod:`repro.obs.slowlog` — the K slowest batch units with evidence;
 * :mod:`repro.obs.httpexp` / :mod:`repro.obs.report` — the live
-  ``/metrics`` endpoint and the ``repro report`` document (imported
-  lazily; not re-exported here to keep this package import cheap).
+  ``/metrics`` endpoint and the ``repro report`` document, the one
+  human rendering of a metrics document (imported lazily; not
+  re-exported here to keep this package import cheap).
 
 :func:`phase_span` is the one-liner instrumented code uses at phase
 boundaries: it opens a tracer span and, on exit, observes the duration
@@ -50,7 +50,6 @@ from repro.obs.metrics import (
 from repro.obs.profiler import HotLoopProfiler
 from repro.obs.prom import render_prometheus, validate_exposition
 from repro.obs.slowlog import SlowLog
-from repro.obs.stats import render_stats
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -82,7 +81,6 @@ __all__ = [
     "read_ledger",
     "read_trace",
     "render_prometheus",
-    "render_stats",
     "validate_exposition",
 ]
 

@@ -5,7 +5,7 @@ endpoints:
 
 * ``/metrics`` — the Prometheus text exposition
   (:func:`repro.obs.prom.render_prometheus`), byte-identical to
-  ``repro stats --prometheus`` for the same registry;
+  ``repro report --metrics FILE --prometheus`` for the same registry;
 * ``/healthz`` — liveness (always ``200 ok`` while the server runs);
 * ``/ledger/summary`` — the aggregated run-ledger view
   (:func:`repro.obs.ledger.summarize`) as JSON.

@@ -22,7 +22,7 @@ reproduction).  Design constraints:
 Metrics are addressed by a name plus optional labels, flattened into a
 stable string key (``rules.fired{rule=R4}``); the JSON document written
 by ``--metrics-out`` maps those keys to values and is what
-``repro stats`` and the Prometheus exposition consume.
+``repro report`` and the Prometheus exposition consume.
 """
 
 from __future__ import annotations

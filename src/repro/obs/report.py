@@ -1,30 +1,34 @@
 """``repro report`` — one document over every telemetry source.
 
 Builds a structured report (and its human rendering) from any subset
-of: a metrics document (``--metrics-out``), a run ledger, a slowlog,
-and the perf-history trajectory.  Sections:
+of: a metrics document (``--metrics-out``), a span trace
+(``--trace-out``), a run ledger and a slowlog.  Sections:
 
 * **phases** — per-phase time attribution from the ``phase.seconds``
   histograms, with each phase's share of the attributable wall time
   (the ``recover`` span nests the others and is excluded from shares);
-* **tiers** — result-cache / function-memo hit rates from the
-  counters, plus the per-record tier outcome counts from the ledger;
+* **engine / recovery / rules** — TASE work (runs, paths, steps, steps/s
+  over the ``tase`` phase, forks, budget exhaustions, truncations),
+  ``recover()`` calls, and the rules fired and shadowed;
+* **tiers** — result-cache / function-memo / inference-memo hit rates,
+  memo writes and cache invalidations from the counters, plus the
+  per-record tier outcome counts from the ledger;
+* **scheduler / evaluation** — batch units and sharding, and accuracy
+  when the run scored against ground truth;
 * **hotspots** — profiler step attribution aggregated across ledger
   records;
-* **slowest** — the slowest ledger records and, when a slowlog is
-  given, the kept exemplars with their span trees;
-* **perf_history** — ``benchmarks/perf_history.py check`` outcome and,
-  when a tier regressed and both sides carry a ``phases`` section in
-  the bench document, the phase whose share of wall time moved most.
-  Tiers that *improved* past the threshold render as ``info:`` lines —
-  a successful optimisation is reported, not silently passed over.
+* **slowest** — the slowest ledger records, the slowest contracts of a
+  trace and, when a slowlog is given, the kept exemplars with their
+  span trees.
+
+``repro report --metrics m.json --prometheus`` prints the Prometheus
+exposition of the same metrics document instead
+(:func:`repro.obs.prom.render_prometheus`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.obs.metrics import parse_key
 from repro.obs.ledger import summarize, top_by_elapsed
@@ -33,7 +37,6 @@ from repro.obs.slowlog import SlowLog, span_tree_lines
 
 __all__ = [
     "build_report",
-    "perf_history_section",
     "render_report",
 ]
 
@@ -42,6 +45,16 @@ __all__ = [
 #: ``analysis.*`` passes nest inside ``static_analysis``, so folding
 #: either into the denominator would double-count wall time.
 _TOP_PHASES = ("disasm", "static_analysis", "tase", "inference")
+
+
+def _labelled(counters: Mapping[str, int], name: str, label: str) -> Dict[str, int]:
+    """``label value -> count`` for every ``name{label=...}`` counter."""
+    out: Dict[str, int] = {}
+    for key, value in counters.items():
+        base, labels = parse_key(key)
+        if base == name and label in labels:
+            out[labels[label]] = out.get(labels[label], 0) + int(value)
+    return out
 
 
 def _phase_section(doc: Mapping) -> Dict[str, dict]:
@@ -66,50 +79,96 @@ def _phase_section(doc: Mapping) -> Dict[str, dict]:
     return dict(sorted(phases.items()))
 
 
-def _tier_section(doc: Mapping) -> dict:
-    """Cache/memo hit-rate breakdown from the counters."""
+def _counter_sections(doc: Mapping, phases: Mapping[str, dict]) -> dict:
+    """Tier, engine, recovery, rule, scheduler and evaluation counts."""
     counters = doc.get("counters", {})
+    gauges = doc.get("gauges", {})
 
     def value(key: str) -> int:
         return int(counters.get(key, 0))
 
-    cache_hits = value("cache.hits")
-    cache_misses = value("cache.misses")
-    memo_memory = value("memo.hits{tier=memory}")
-    memo_disk = value("memo.hits{tier=disk}")
-    memo_misses = value("memo.misses")
-    inf_memory = value("infmemo.hits{tier=memory}")
-    inf_disk = value("infmemo.hits{tier=disk}")
-    inf_misses = value("infmemo.misses")
+    def memo(prefix: str) -> dict:
+        memory = value(f"{prefix}.hits{{tier=memory}}")
+        disk = value(f"{prefix}.hits{{tier=disk}}")
+        misses = value(f"{prefix}.misses")
+        probes = memory + disk + misses
+        return {
+            "hits_memory": memory,
+            "hits_disk": disk,
+            "misses": misses,
+            "writes": value(f"{prefix}.writes"),
+            "hit_rate": (memory + disk) / probes if probes else None,
+        }
+
+    cache_hits, cache_misses = value("cache.hits"), value("cache.misses")
     cache_probes = cache_hits + cache_misses
-    memo_probes = memo_memory + memo_disk + memo_misses
-    inf_probes = inf_memory + inf_disk + inf_misses
+    steps = value("tase.steps")
+    # Single-core symbolic throughput: steps over the tase phase's
+    # wall-clock.
+    tase_seconds = phases.get("tase", {}).get("seconds", 0.0)
+    functions, correct = value("eval.functions"), value("eval.correct")
     return {
-        "result_cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "invalidations": value("cache.invalidations"),
-            "hit_rate": cache_hits / cache_probes if cache_probes else None,
+        "tiers": {
+            "result_cache": {
+                "hits": cache_hits,
+                "misses": cache_misses,
+                "invalidations": value("cache.invalidations"),
+                "hit_rate": cache_hits / cache_probes if cache_probes else None,
+            },
+            "function_memo": memo("memo"),
+            "inference_memo": memo("infmemo"),
         },
-        "function_memo": {
-            "hits_memory": memo_memory,
-            "hits_disk": memo_disk,
-            "misses": memo_misses,
-            "hit_rate": (
-                (memo_memory + memo_disk) / memo_probes
-                if memo_probes else None
+        "engine": {
+            "runs": value("tase.runs"),
+            "paths": value("tase.paths"),
+            "steps": steps,
+            "steps_per_second": (
+                steps / tase_seconds if steps and tase_seconds else None
             ),
+            "forks": value("tase.forks"),
+            "budget_exhaustions": value("tase.budget_exhaustions"),
+            "truncations": _labelled(counters, "tase.truncations", "reason"),
         },
-        "inference_memo": {
-            "hits_memory": inf_memory,
-            "hits_disk": inf_disk,
-            "misses": inf_misses,
-            "hit_rate": (
-                (inf_memory + inf_disk) / inf_probes
-                if inf_probes else None
-            ),
+        "recovery": {
+            "calls": value("recover.calls"),
+            "functions": value("recover.functions"),
+        },
+        "rules": {
+            "fired": _labelled(counters, "rules.fired", "rule"),
+            "shadowed": _labelled(counters, "rules.conflicts", "rule"),
+        },
+        "scheduler": {
+            "units": value("batch.units"),
+            "sharded_runs": value("tase.sharded_runs"),
+            "shards": value("tase.shards"),
+            "queue_peak": gauges.get("batch.queue_peak", 0),
+            "steals": gauges.get("batch.steals", 0),
+        },
+        "evaluation": {
+            "contracts": value("eval.contracts"),
+            "functions": functions,
+            "correct": correct,
+            "accuracy": correct / functions if functions else None,
         },
     }
+
+
+def _slowest_contracts(trace_records: Sequence[Mapping], top: int) -> List[dict]:
+    """The slowest ``contract``/``contract_eval`` events of a trace."""
+    timed = []
+    for record in trace_records:
+        if record.get("type") != "event":
+            continue
+        attrs = record.get("attrs", {})
+        elapsed = attrs.get("elapsed")
+        if record.get("name") in ("contract", "contract_eval") and elapsed:
+            timed.append({
+                "contract": attrs.get("sha") or f"#{attrs.get('index', '?')}",
+                "elapsed_seconds": float(elapsed),
+                "functions": attrs.get("functions"),
+            })
+    timed.sort(key=lambda entry: -entry["elapsed_seconds"])
+    return timed[:top]
 
 
 def _aggregate_hotspots(records: Iterable[Mapping]) -> Dict[int, int]:
@@ -148,87 +207,20 @@ def _slowest_section(records: List[Mapping], top: int) -> List[dict]:
     return out
 
 
-def perf_history_section(
-    bench_path: str, history_dir: str, threshold: float = 0.2
-) -> dict:
-    """The trajectory check plus phase-share attribution.
-
-    Runs :func:`repro.obs.perfhistory.check_regression`; when a tier
-    regressed, compares the current bench document's ``phases`` section
-    (per-phase shares of attributable wall time, written by the
-    observability benchmark) against the newest history snapshot's to
-    name the phase whose share moved most.
-    """
-    from repro.obs.perfhistory import (
-        calibrate,
-        check_improvement,
-        check_regression,
-        history_entries,
-    )
-
-    entries = history_entries(history_dir)
-    if not entries or not os.path.exists(bench_path):
-        return {"status": "no-history", "failures": []}
-    # One shared calibration run: the regression and improvement checks
-    # must judge the same machine-speed figure or a noisy calibration
-    # could report a tier as both regressed and improved.
-    calibration = calibrate()
-    failures = check_regression(
-        bench_path, history_dir, threshold=threshold, calibration=calibration
-    )
-    improvements = check_improvement(
-        bench_path, history_dir, threshold=threshold, calibration=calibration
-    )
-    section: dict = {
-        "status": "regressed" if failures else "ok",
-        "failures": failures,
-        "improvements": improvements,
-        "baseline_entry": entries[-1][0],
-        "threshold": threshold,
-    }
-    with open(bench_path, encoding="utf-8") as handle:
-        current = json.load(handle)
-    current_shares = current.get("phases")
-    previous_shares = entries[-1][1].get("bench", {}).get("phases")
-    if isinstance(current_shares, Mapping) and isinstance(
-        previous_shares, Mapping
-    ):
-        shifts = {}
-        for phase in sorted(set(current_shares) | set(previous_shares)):
-            cur = current_shares.get(phase)
-            prev = previous_shares.get(phase)
-            if not isinstance(cur, (int, float)) or not isinstance(
-                prev, (int, float)
-            ):
-                continue
-            shifts[phase] = round(float(cur) - float(prev), 6)
-        section["phase_shares"] = {
-            "current": dict(current_shares),
-            "previous": dict(previous_shares),
-            "shifts": shifts,
-        }
-        if shifts:
-            mover = max(shifts.items(), key=lambda item: abs(item[1]))
-            section["phase_shares"]["mover"] = mover[0]
-    elif failures:
-        # Regressed but unattributable: one side predates the phases
-        # section of the bench document.
-        section["phase_shares"] = None
-    return section
-
-
 def build_report(
     metrics_doc: Optional[Mapping] = None,
     ledger_records: Optional[List[Mapping]] = None,
     slowlog: Optional[SlowLog] = None,
-    perf: Optional[Mapping] = None,
+    trace_records: Optional[Sequence[Mapping]] = None,
     top: int = 10,
 ) -> dict:
     """Assemble the report document from whatever sources are given."""
     report: dict = {"schema": 1}
     if metrics_doc is not None:
         report["phases"] = _phase_section(metrics_doc)
-        report["tiers"] = _tier_section(metrics_doc)
+        report.update(_counter_sections(metrics_doc, report["phases"]))
+    if trace_records is not None:
+        report["slowest_contracts"] = _slowest_contracts(trace_records, top)
     if ledger_records is not None:
         report["ledger"] = summarize(ledger_records)
         hotspots = _aggregate_hotspots(ledger_records)
@@ -239,9 +231,11 @@ def build_report(
         report["slowest"] = _slowest_section(list(ledger_records), top)
     if slowlog is not None:
         report["exemplars"] = slowlog.to_dict()
-    if perf is not None:
-        report["perf_history"] = dict(perf)
     return report
+
+
+def _ratio(part: float, whole: float) -> str:
+    return f"{part / whole:.1%}" if whole else "n/a"
 
 
 def _render_phases(report: dict, lines: List[str]) -> None:
@@ -249,7 +243,7 @@ def _render_phases(report: dict, lines: List[str]) -> None:
     ledger = report.get("ledger")
     if not phases:
         return
-    lines.append("phase time attribution")
+    lines.append("phase time attribution (share of the top-level phases)")
     ledger_phases = (
         ledger.get("phase_seconds", {}) if isinstance(ledger, Mapping) else {}
     )
@@ -266,40 +260,120 @@ def _render_phases(report: dict, lines: List[str]) -> None:
     lines.append("")
 
 
-def _render_tiers(report: dict, lines: List[str]) -> None:
-    tiers = report.get("tiers")
-    ledger = report.get("ledger")
-    if tiers:
-        lines.append("tier hit rates")
-        cache = tiers["result_cache"]
-        rate = cache["hit_rate"]
+def _render_work(report: dict, lines: List[str], top: int) -> None:
+    engine = report.get("engine")
+    if engine is not None:
+        runs, steps = engine["runs"], engine["steps"]
+        rate = engine.get("steps_per_second")
+        lines.append("engine")
         lines.append(
-            f"  result cache    {cache['hits']} hits / "
-            f"{cache['misses']} misses"
-            + (f"  ({rate:.0%} hit rate)" if rate is not None else "")
+            f"  runs {runs:,} | paths {engine['paths']:,} | steps {steps:,}"
+            + (f" ({steps / runs:,.0f} steps/run)" if runs else "")
+            + (f" | {rate:,.0f} steps/s" if rate else "")
         )
-        memo = tiers["function_memo"]
-        rate = memo["hit_rate"]
         lines.append(
-            f"  function memo   {memo['hits_memory']} memory + "
-            f"{memo['hits_disk']} disk hits / {memo['misses']} misses"
-            + (f"  ({rate:.0%} hit rate)" if rate is not None else "")
+            f"  forks taken {engine['forks']:,} | branch-budget exhaustions "
+            f"{engine['budget_exhaustions']:,}"
         )
-        # Older report documents predate the inference-memo tier.
-        inf = tiers.get("inference_memo")
-        if inf is not None:
-            rate = inf["hit_rate"]
+        truncations = engine.get("truncations")
+        if truncations:
+            detail = ", ".join(
+                f"{reason}: {count}"
+                for reason, count in sorted(truncations.items())
+            )
             lines.append(
-                f"  inference memo  {inf['hits_memory']} memory + "
-                f"{inf['hits_disk']} disk hits / {inf['misses']} misses"
-                + (f"  ({rate:.0%} hit rate)" if rate is not None else "")
+                f"  truncated runs: {detail} (recovery may be incomplete)"
+            )
+        lines.append("")
+
+    recovery = report.get("recovery")
+    if recovery and (recovery["calls"] or recovery["functions"]):
+        lines.append("recovery")
+        lines.append(
+            f"  recover() calls {recovery['calls']:,} | "
+            f"functions recovered {recovery['functions']:,}"
+        )
+        lines.append("")
+
+    rules = report.get("rules")
+    if rules and rules["fired"]:
+        fired = rules["fired"]
+        total = sum(fired.values())
+        ranked = sorted(fired.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+        lines.append(f"rules (fired {total:,} times, top {len(ranked)})")
+        for rule, count in ranked:
+            lines.append(f"  {rule:<4} {count:>8,}  {_ratio(count, total)}")
+        if rules["shadowed"]:
+            shadowed = ", ".join(
+                f"{rule}: {count}"
+                for rule, count in sorted(
+                    rules["shadowed"].items(), key=lambda kv: (-kv[1], kv[0])
+                )[:top]
+            )
+            lines.append(f"  shadowed candidates: {shadowed}")
+        lines.append("")
+
+
+def _render_tiers(report: dict, lines: List[str]) -> None:
+    tiers = report.get("tiers") or {}
+    ledger = report.get("ledger")
+    body: List[str] = []
+    cache = tiers.get("result_cache")
+    if cache and (cache["hits"] or cache["misses"] or cache["invalidations"]):
+        hits, misses = cache["hits"], cache["misses"]
+        body.append(
+            f"  {'result cache':<15} hits {hits:,} | misses {misses:,} "
+            f"(hit rate {_ratio(hits, hits + misses)}) | "
+            f"invalidations {cache['invalidations']:,}"
+        )
+    # Older report documents predate the inference-memo tier and the
+    # memo write counts.
+    for key, label in (("function_memo", "function memo"),
+                       ("inference_memo", "inference memo")):
+        memo = tiers.get(key) or {}
+        memory, disk = memo.get("hits_memory", 0), memo.get("hits_disk", 0)
+        misses, writes = memo.get("misses", 0), memo.get("writes", 0)
+        hits = memory + disk
+        if hits or misses or writes:
+            body.append(
+                f"  {label:<15} {memory} memory + {disk} disk hits / {misses} misses"
+            )
+            body.append(
+                f"  {'':<15} hits {hits:,} [disk: {disk:,}, memory: {memory:,}] | "
+                f"misses {misses:,} (hit rate {_ratio(hits, hits + misses)}) | "
+                f"writes {writes:,}"
             )
     if isinstance(ledger, Mapping) and ledger.get("tiers"):
         rendered = ", ".join(
             f"{tier} {count}" for tier, count in ledger["tiers"].items()
         )
-        lines.append(f"  ledger outcomes {rendered}")
-    if tiers or (isinstance(ledger, Mapping) and ledger.get("tiers")):
+        body.append(f"  ledger outcomes {rendered}")
+    if body:
+        lines.append("tier hit rates")
+        lines.extend(body)
+        lines.append("")
+
+
+def _render_batch(report: dict, lines: List[str]) -> None:
+    scheduler = report.get("scheduler")
+    if scheduler and scheduler["units"]:
+        lines.append("scheduler")
+        lines.append(
+            f"  units {scheduler['units']:,} | sharded recoveries "
+            f"{scheduler['sharded_runs']:,} ({scheduler['shards']:,} shards)"
+            f" | last run: queue peak {scheduler['queue_peak']:,.0f}, "
+            f"steals {scheduler['steals']:,.0f}"
+        )
+        lines.append("")
+    evaluation = report.get("evaluation")
+    if evaluation and evaluation["contracts"]:
+        lines.append("evaluation")
+        lines.append(
+            f"  contracts {evaluation['contracts']:,} | functions "
+            f"{evaluation['functions']:,} | correct {evaluation['correct']:,}"
+            f" (accuracy "
+            f"{_ratio(evaluation['correct'], evaluation['functions'])})"
+        )
         lines.append("")
 
 
@@ -334,6 +408,17 @@ def _render_slowest(report: dict, lines: List[str], top: int) -> None:
                 f"{entry.get('strategy')}/{entry.get('tier')}{note}"
             )
         lines.append("")
+    contracts = report.get("slowest_contracts")
+    if contracts:
+        lines.append(f"slowest contracts (top {min(top, len(contracts))})")
+        for entry in contracts[:top]:
+            functions = entry.get("functions")
+            suffix = f"  {functions} function(s)" if functions is not None else ""
+            lines.append(
+                f"  {entry['contract']:<18} "
+                f"{entry['elapsed_seconds']:>9.3f}s{suffix}"
+            )
+        lines.append("")
     exemplars = report.get("exemplars")
     if isinstance(exemplars, Mapping) and exemplars.get("entries"):
         lines.append("slow exemplars (with span trees)")
@@ -354,59 +439,13 @@ def _render_slowest(report: dict, lines: List[str], top: int) -> None:
         lines.append("")
 
 
-def _render_perf(report: dict, lines: List[str]) -> None:
-    perf = report.get("perf_history")
-    if not isinstance(perf, Mapping):
-        return
-    status = perf.get("status")
-    if status == "no-history":
-        lines.append("perf history: no snapshots to compare against")
-        lines.append("")
-        return
-    if status == "ok":
-        lines.append(
-            "perf history: OK — no tier regressed more than "
-            f"{perf.get('threshold', 0.2):.0%} vs entry "
-            f"{perf.get('baseline_entry')}"
-        )
-    else:
-        lines.append("perf history: REGRESSED")
-        for failure in perf.get("failures", []):
-            lines.append(f"  {failure}")
-    # Improvements are never silent: a successful optimisation should
-    # be as visible in the report as a regression would be.
-    for improvement in perf.get("improvements", []):
-        lines.append(f"  info: improved — {improvement}")
-    shares = perf.get("phase_shares")
-    if isinstance(shares, Mapping) and shares.get("mover"):
-        mover = shares["mover"]
-        shift = shares["shifts"].get(mover, 0.0)
-        previous = shares["previous"].get(mover)
-        current = shares["current"].get(mover)
-        lines.append(
-            f"  phase share moved most: {mover} "
-            f"({previous:.1%} -> {current:.1%}, {shift:+.1%})"
-        )
-        for phase, phase_shift in sorted(shares["shifts"].items()):
-            if phase != mover and phase_shift < -0.01:
-                lines.append(
-                    f"  info: {phase} share down {phase_shift:+.1%} "
-                    f"({shares['previous'].get(phase, 0.0):.1%} -> "
-                    f"{shares['current'].get(phase, 0.0):.1%})"
-                )
-    elif status == "regressed" and shares is None:
-        lines.append(
-            "  (no phase-share baseline in the bench history — rerun "
-            "the observability benchmark to record one)"
-        )
-    lines.append("")
-
-
 def render_report(report: dict, top: int = 10) -> str:
     """The human rendering of :func:`build_report`'s document."""
     lines: List[str] = []
     _render_phases(report, lines)
+    _render_work(report, lines, top)
     _render_tiers(report, lines)
+    _render_batch(report, lines)
     _render_ledger(report, lines)
     hotspots = report.get("hotspots")
     if hotspots:
@@ -414,7 +453,6 @@ def render_report(report: dict, top: int = 10) -> str:
         lines.append(render_hotspots(counts, n=top).rstrip("\n"))
         lines.append("")
     _render_slowest(report, lines, top)
-    _render_perf(report, lines)
     while lines and not lines[-1]:
         lines.pop()
     return ("\n".join(lines) + "\n") if lines else "(empty report)\n"

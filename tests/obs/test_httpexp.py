@@ -49,7 +49,7 @@ def test_metrics_is_byte_identical_to_the_cli_exposition(registry):
         assert headers["Content-Type"] == (
             "text/plain; version=0.0.4; charset=utf-8"
         )
-        # ``repro stats --prometheus`` writes render_prometheus(doc)
+        # ``repro report --prometheus`` writes render_prometheus(doc)
         # verbatim; the endpoint must serve the same bytes.
         assert body.decode("utf-8") == render_prometheus(registry.to_dict())
         assert validate_exposition(body.decode("utf-8")) == []

@@ -1,18 +1,13 @@
-"""``repro report`` tests: sections, parity, perf-history attribution."""
-
-import json
+"""``repro report`` tests: sections, parity, rendering."""
 
 import pytest
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.obs import MetricsRegistry, RunLedger, SlowLog
-from repro.obs.report import (
-    build_report,
-    perf_history_section,
-    render_report,
-)
+from repro.obs.report import build_report, render_report
 from repro.sigrec.api import SigRec
+from tests.obs.test_prom import _sample_doc
 
 
 def _bytecode(*sigs):
@@ -110,86 +105,17 @@ def test_render_report_has_every_section(run_sources):
     slowlog.offer(0.4, contract="abcd", unit=(0, 0))
     text = render_report(
         build_report(metrics_doc=doc, ledger_records=records,
-                     slowlog=slowlog,
-                     perf={"status": "no-history", "failures": []})
+                     slowlog=slowlog)
     )
     assert "phase time attribution" in text
     assert "tier hit rates" in text
     assert "run ledger: 2 records" in text
     assert "slowest recoveries" in text
     assert "slow exemplars" in text
-    assert "perf history: no snapshots" in text
 
 
 def test_render_empty_report():
     assert render_report({}) == "(empty report)\n"
-
-
-# ----------------------------------------------------------------------
-# perf-history section
-# ----------------------------------------------------------------------
-
-
-def _write(path, doc):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
-
-
-def test_perf_history_no_snapshots(tmp_path):
-    bench = tmp_path / "bench.json"
-    _write(str(bench), {"sharded_memo": {"speedup": 3.0}})
-    section = perf_history_section(str(bench), str(tmp_path / "none"))
-    assert section["status"] == "no-history"
-
-
-def test_perf_history_ok_and_regression_name_the_moving_phase(tmp_path):
-    history = tmp_path / "history"
-    history.mkdir()
-    baseline_phases = {"disasm": 0.05, "static_analysis": 0.25,
-                       "tase": 0.55, "inference": 0.15}
-    _write(str(history / "0001.json"), {
-        "sequence": 1, "calibration": 0.0,
-        "bench": {"sharded_memo": {"speedup": 3.0},
-                  "phases": baseline_phases},
-    })
-    bench = tmp_path / "bench.json"
-    # Same speedup -> ok.
-    _write(str(bench), {"sharded_memo": {"speedup": 3.0},
-                        "phases": baseline_phases})
-    section = perf_history_section(str(bench), str(history))
-    assert section["status"] == "ok"
-    assert section["baseline_entry"] == 1
-    # A 50% drop on a ratio tier -> regressed, and the phase whose
-    # share of wall time moved most is named.
-    moved = {"disasm": 0.05, "static_analysis": 0.15,
-             "tase": 0.70, "inference": 0.10}
-    _write(str(bench), {"sharded_memo": {"speedup": 1.4}, "phases": moved})
-    section = perf_history_section(str(bench), str(history))
-    assert section["status"] == "regressed"
-    assert any("sharded_memo.speedup" in f for f in section["failures"])
-    assert section["phase_shares"]["mover"] == "tase"
-    assert section["phase_shares"]["shifts"]["tase"] == pytest.approx(0.15)
-    rendered = render_report(build_report(perf=section))
-    assert "REGRESSED" in rendered
-    assert "phase share moved most: tase" in rendered
-
-
-def test_perf_history_regression_without_phase_baseline(tmp_path):
-    history = tmp_path / "history"
-    history.mkdir()
-    _write(str(history / "0001.json"), {
-        "sequence": 1, "calibration": 0.0,
-        "bench": {"sharded_memo": {"speedup": 3.0}},  # predates phases
-    })
-    bench = tmp_path / "bench.json"
-    _write(str(bench), {"sharded_memo": {"speedup": 1.0},
-                        "phases": {"tase": 1.0}})
-    section = perf_history_section(str(bench), str(history))
-    assert section["status"] == "regressed"
-    assert section["phase_shares"] is None
-    assert "no phase-share baseline" in render_report(
-        build_report(perf=section)
-    )
 
 
 def test_tier_section_includes_inference_memo():
@@ -214,35 +140,85 @@ def test_tier_section_includes_inference_memo():
     assert "inference memo" not in render_report(legacy)
 
 
-def test_perf_history_reports_improvements_as_info_lines(tmp_path):
-    history = tmp_path / "history"
-    history.mkdir()
-    baseline_phases = {"disasm": 0.05, "static_analysis": 0.10,
-                       "tase": 0.15, "inference": 0.70}
-    _write(str(history / "0001.json"), {
-        "sequence": 1, "calibration": 0.0,
-        "bench": {"sharded_memo": {"speedup": 3.0},
-                  "inference": {"speedup_vs_baseline": 4.0},
-                  "phases": baseline_phases},
-    })
-    bench = tmp_path / "bench.json"
-    # The inference speedup jumped 5x and its phase share collapsed:
-    # the report must say so instead of printing a bare "OK".
-    improved_phases = {"disasm": 0.10, "static_analysis": 0.25,
-                       "tase": 0.45, "inference": 0.20}
-    _write(str(bench), {"sharded_memo": {"speedup": 3.0},
-                        "inference": {"speedup_vs_baseline": 20.0},
-                        "phases": improved_phases})
-    section = perf_history_section(str(bench), str(history))
-    assert section["status"] == "ok"
-    assert any(
-        "inference.speedup_vs_baseline" in line
-        for line in section["improvements"]
+def test_render_report_covers_every_metrics_section():
+    report = build_report(metrics_doc=_sample_doc())
+    text = render_report(report)
+    for needle in (
+        "engine",
+        "paths 40",
+        "max_paths: 2",
+        "recovery",
+        "rules (fired 12 times",
+        "R4",
+        "shadowed candidates: R15: 2",
+        "cache",
+        "hit rate 75.0%",
+        "invalidations 1",
+        "evaluation",
+        "accuracy 88.9%",
+        "phases",
+        "tase",
+    ):
+        assert needle in text, needle
+    # The machine-readable document carries the same figures: steps/s
+    # over the tase phase only, accuracy over scored functions.
+    assert report["engine"]["steps_per_second"] == pytest.approx(4000 / 0.3)
+    assert report["engine"]["truncations"] == {"max_paths": 2}
+    assert report["rules"] == {
+        "fired": {"R4": 9, "R11": 3}, "shadowed": {"R15": 2},
+    }
+    assert report["evaluation"]["accuracy"] == pytest.approx(8 / 9)
+
+
+def test_render_report_lists_slowest_contracts_from_trace():
+    trace = [
+        {
+            "type": "event",
+            "name": "contract",
+            "attrs": {"sha": "aa" * 8, "elapsed": 0.5, "functions": 3},
+        },
+        {
+            "type": "event",
+            "name": "contract",
+            "attrs": {"sha": "bb" * 8, "elapsed": 2.0, "functions": 1},
+        },
+        {"type": "span_start", "name": "batch", "id": 1, "parent": None},
+    ]
+    report = build_report(metrics_doc=_sample_doc(), trace_records=trace, top=1)
+    text = render_report(report, top=1)
+    assert "slowest contracts (top 1)" in text
+    assert "bb" * 8 in text
+    assert "aa" * 8 not in text
+
+
+def test_render_report_empty_metrics_document():
+    text = render_report(
+        build_report(metrics_doc={"counters": {}, "gauges": {}, "histograms": {}})
     )
-    rendered = render_report(build_report(perf=section))
-    assert "info: improved" in rendered
-    assert "inference.speedup_vs_baseline" in rendered
-    # The inference share dropped 50 points: it is the mover, and the
-    # rendering names it with a negative shift.
-    assert section["phase_shares"]["mover"] == "inference"
-    assert "-50.0%" in rendered
+    # Engine section always renders (all-zero), never crashes.
+    assert "engine" in text
+
+
+def test_render_report_memo_tiers():
+    registry = MetricsRegistry()
+    registry.counter("memo.hits", tier="memory").inc(3)
+    registry.counter("memo.hits", tier="disk").inc(1)
+    registry.counter("memo.misses").inc(4)
+    registry.counter("memo.writes").inc(4)
+    registry.counter("infmemo.hits", tier="memory").inc(5)
+    registry.counter("infmemo.hits", tier="disk").inc(1)
+    registry.counter("infmemo.misses").inc(2)
+    registry.counter("infmemo.writes").inc(2)
+    report = build_report(metrics_doc=registry.to_dict())
+    assert report["tiers"]["function_memo"]["writes"] == 4
+    text = render_report(report)
+    assert "function memo" in text
+    assert "inference memo" in text
+    assert "hits 6 [disk: 1, memory: 5] | misses 2 (hit rate 75.0%)" in text
+    assert "writes 2" in text
+    # A document without inference-memo activity omits the section.
+    silent = MetricsRegistry()
+    silent.counter("memo.hits", tier="memory").inc(1)
+    assert "inference memo" not in render_report(
+        build_report(metrics_doc=silent.to_dict())
+    )

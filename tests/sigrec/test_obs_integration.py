@@ -58,17 +58,31 @@ def test_recover_emits_phase_spans_and_rule_counters():
 
 
 def test_passes_pulled_after_recover_nest_under_static_analysis():
-    """profile() runs storage long after recover(); its span must still
-    sit inside a static_analysis phase span, one of the top-level
-    phases ``repro report`` attributes shares to."""
+    """recover() pulls exactly cfg, jumps and dispatcher — none when it
+    neither shards nor cross-checks; profile() runs storage long after
+    recover(), and its span must still sit inside a static_analysis
+    phase span, one of the top-level phases ``repro report`` attributes
+    shares to."""
     from repro.obs.report import _TOP_PHASES
 
     code = _bytecode("a(uint8)", "b(bool)")
+    core = {"analysis.cfg", "analysis.jumps", "analysis.dispatcher"}
+    for options, pulled in (
+        ({"static_check": False}, core),
+        ({"sharded": False, "static_check": False}, set()),
+    ):
+        tracer = SpanTracer()
+        SigRec(tracer=tracer, **options).recover(code)
+        names = {r["name"] for r in tracer.records if r["type"] == "span_start"}
+        assert {n for n in names if n.startswith("analysis.")} == pulled, options
+
     tracer = SpanTracer()
     tool = SigRec(metrics=MetricsRegistry(), tracer=tracer)
     signatures = tool.recover(code)
     starts = [r for r in tracer.records if r["type"] == "span_start"]
-    assert "analysis.storage" not in {r["name"] for r in starts}
+    assert {
+        r["name"] for r in starts if r["name"].startswith("analysis.")
+    } == core
     tool.profile(code, signatures)
     starts = [r for r in tracer.records if r["type"] == "span_start"]
     by_id = {r["id"]: r for r in starts}

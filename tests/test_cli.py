@@ -448,7 +448,9 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert events[0]["attrs"].get("cached") is True
 
 
-def test_stats_renders_metrics_document(token_hex, tmp_path, capsys):
+def test_report_renders_metrics_document_and_trace(token_hex, tmp_path, capsys):
+    from repro.obs import load_metrics, render_prometheus
+
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{token_hex}\n")
     metrics_path = tmp_path / "m.json"
@@ -459,20 +461,36 @@ def test_stats_renders_metrics_document(token_hex, tmp_path, capsys):
         "--trace-out", str(trace_path),
     ]) == 0
     capsys.readouterr()
-    assert main(["stats", str(metrics_path), "--trace", str(trace_path)]) == 0
+    assert main([
+        "report", "--metrics", str(metrics_path), "--trace", str(trace_path),
+    ]) == 0
     out = capsys.readouterr().out
     assert "engine" in out
     assert "rules (fired" in out
     assert "slowest contracts" in out
-    assert main(["stats", str(metrics_path), "--prometheus"]) == 0
+    assert main(["report", "--metrics", str(metrics_path), "--prometheus"]) == 0
     out = capsys.readouterr().out
     assert "# TYPE tase_paths counter" in out
     assert "tase_paths " in out
+    # Exactly the exposition /metrics serves for the same document.
+    assert out == render_prometheus(load_metrics(str(metrics_path)))
 
 
-def test_stats_rejects_missing_document(tmp_path):
+def test_report_rejects_missing_metrics_document(tmp_path):
     with pytest.raises(SystemExit):
-        main(["stats", str(tmp_path / "absent.json")])
+        main(["report", "--metrics", str(tmp_path / "absent.json")])
+
+
+def test_report_prometheus_needs_metrics(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="--prometheus needs --metrics"):
+        main(["report", "--prometheus"])
+
+
+def test_stats_is_not_a_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["stats", str(tmp_path / "m.json")])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'stats'" in capsys.readouterr().err
 
 
 def test_abi_command_emits_standard_abi_json(capsys):
@@ -584,26 +602,6 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
 def test_report_requires_a_source():
     with pytest.raises(SystemExit):
         main(["report"])
-
-
-def test_report_check_perf_sets_the_exit_code(tmp_path, capsys):
-    import json
-
-    history = tmp_path / "history"
-    history.mkdir()
-    (history / "0001.json").write_text(json.dumps({
-        "sequence": 1, "calibration": 0.0,
-        "bench": {"sharded_memo": {"speedup": 3.0}},
-    }))
-    bench = tmp_path / "bench.json"
-    bench.write_text(json.dumps({"sharded_memo": {"speedup": 3.1}}))
-    args = ["report", "--check-perf", "--bench", str(bench),
-            "--history", str(history)]
-    assert main(args) == 0
-    assert "perf history: OK" in capsys.readouterr().out
-    bench.write_text(json.dumps({"sharded_memo": {"speedup": 1.0}}))
-    assert main(args) == 1
-    assert "REGRESSED" in capsys.readouterr().out
 
 
 def test_serve_metrics_requires_a_source():
