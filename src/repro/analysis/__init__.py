@@ -3,11 +3,14 @@
 A multi-pass framework (:mod:`repro.analysis.framework`): every pass
 declares its inputs, carries its own schema version, and runs over a
 shared per-bytecode context that computes each product on first
-access.  The default pipeline:
+access.  The passes that interpret instructions are value domains on
+one abstract-interpretation core (:mod:`repro.analysis.absint`): one
+constant-fold table, one compiled abstract-stack machine, and one
+worklist with a per-block visit budget.  The default pipeline:
 
 * ``cfg`` — basic-block construction (:mod:`repro.evm.cfg`);
 * ``jumps`` — jump-target resolution by push-constant stack dataflow
-  (:mod:`repro.analysis.dataflow`, fixpoint over the CFG);
+  (:mod:`repro.analysis.dataflow`, join fixpoint over the CFG);
 * ``stack`` — stack-height verification with the interval domain
   (:mod:`repro.analysis.stackcheck`);
 * ``dispatcher`` — selector → entry-block extraction from the resolved
@@ -43,7 +46,6 @@ from repro.analysis.framework import (
     PipelineError,
     default_pipeline,
     pass_versions,
-    schema_aggregate,
 )
 from repro.analysis.lint import LintReport, lint_analysis, lint_bytecode, lint_findings
 from repro.analysis.mutability import MutabilityReport, classify_mutability
@@ -53,7 +55,6 @@ from repro.analysis.reachability import (
     compute_reachability,
 )
 from repro.analysis.report import (
-    ANALYSIS_SCHEMA_VERSION,
     PROFILE_SCHEMA_VERSION,
     ContractAnalysis,
     ContractProfile,
@@ -73,7 +74,6 @@ from repro.analysis.storage import (
 )
 
 __all__ = [
-    "ANALYSIS_SCHEMA_VERSION",
     "DEFAULT_PIPELINE",
     "PROFILE_SCHEMA_VERSION",
     "AnalysisContext",
@@ -112,6 +112,5 @@ __all__ = [
     "recover_storage_layout",
     "resolve_bytecode",
     "resolve_jumps",
-    "schema_aggregate",
     "verify_stack",
 ]

@@ -5,7 +5,8 @@ target immediately precedes them; everything else is left to the
 symbolic executor.  This pass closes most of that gap statically: it
 runs a fixpoint over the CFG with an abstract stack whose values are
 small *sets of constants* (or unknown), executing PUSH/DUP/SWAP/POP and
-constant-foldable arithmetic exactly.  A jump whose abstract target is a
+constant-foldable arithmetic exactly on the shared abstract-stack
+machine (:mod:`repro.analysis.absint`).  A jump whose abstract target is a
 constant set becomes a set of static edges — including the
 return-address dispatch of internal calls, where several callers push
 different return targets into one shared block.
@@ -20,11 +21,11 @@ resolved target set over-approximates nothing and misses nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
+from repro.analysis.absint import FOLD, MASK, Machine, walk
 from repro.evm.cfg import BasicBlock, ControlFlowGraph, build_cfg
-from repro.evm.opcodes import OPCODES
 
 #: An abstract stack slot: a frozenset of possible constants, or None
 #: for "any value".
@@ -37,23 +38,6 @@ MAX_STACK = 64
 #: Fixpoint safety valve: worklist pops before the pass gives up and
 #: reports itself incomplete (monotone lattice ⇒ normally unreachable).
 _MAX_VISITS_PER_BLOCK = 4 * (MAX_SET + 2) * MAX_STACK
-
-_WORD = 1 << 256
-_MASK = _WORD - 1
-
-_FOLD = {
-    "ADD": lambda a, b: (a + b) & _MASK,
-    "SUB": lambda a, b: (a - b) & _MASK,
-    "MUL": lambda a, b: (a * b) & _MASK,
-    "DIV": lambda a, b: (a // b) & _MASK if b else 0,
-    "MOD": lambda a, b: (a % b) & _MASK if b else 0,
-    "EXP": lambda a, b: pow(a, b, _WORD),
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "SHL": lambda a, b: (b << a) & _MASK if a < 256 else 0,
-    "SHR": lambda a, b: b >> a if a < 256 else 0,
-}
 
 
 @dataclass
@@ -121,6 +105,7 @@ def _join_stacks(
 
 
 def _cross_fold(fold, a: FrozenSet[int], b: FrozenSet[int]) -> AbsValue:
+    """``fold`` over every pair of constants, or None past ``MAX_SET``."""
     out: Set[int] = set()
     for x in a:
         for y in b:
@@ -130,201 +115,77 @@ def _cross_fold(fold, a: FrozenSet[int], b: FrozenSet[int]) -> AbsValue:
     return frozenset(out)
 
 
-#: Compiled op kinds.  Every compiled op is a ``(kind, a, b)`` triple.
-_PUSH = 0    # a = the pushed constant set
-_DUP = 1     # a = depth n: push the n-th entry from the top
-_SWAP = 2    # a = depth n: swap the top and the (n+1)-th entry
-_EFFECT = 3  # a = pops, b = pushes (each pushed value unknown)
-_FOLD_OP = 4  # a = fold function over the top two entries
-_NOT = 5
-_JUMP = 6    # a = the jump's pc
-_JUMPI = 7   # a = the jump's pc
-
-
-def _template(op) -> Tuple:
-    if op.is_push:
-        return (_PUSH, None, 0)
-    if op.is_dup:
-        return (_DUP, op.code - 0x7F, 0)
-    if op.is_swap:
-        return (_SWAP, op.code - 0x8F, 0)
-    if op.name == "JUMP":
-        return (_JUMP, None, 0)
-    if op.name == "JUMPI":
-        return (_JUMPI, None, 0)
-    if op.name in _FOLD:
-        return (_FOLD_OP, _FOLD[op.name], 0)
-    if op.name == "NOT":
-        return (_NOT, 0, 0)
-    return (_EFFECT, op.pops, op.pushes)
-
-
-#: Opcode byte -> compiled-op template (``-1`` is the disassembler's
-#: placeholder for bytes that are not opcodes: no stack effect).
-_TEMPLATES: Dict[int, Tuple] = {
-    op.code: _template(op) for op in OPCODES.values()
-}
-_TEMPLATES[-1] = (_EFFECT, 0, 0)
-
-
-def _compile(block: BasicBlock) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
-    """``block`` lowered to op triples, plus the pc it falls through to
-    (None when it ends in a JUMP, a terminator or an invalid byte).
-
-    No-op instructions (zero pops and pushes: JUMPDEST, STOP, ...) are
-    dropped; a jump becomes its own op so every visit reports its pc.
-    """
-    ops: List[Tuple] = []
-    jumps = False
-    for ins in block.instructions:
-        template = _TEMPLATES[ins.op.code]
-        kind = template[0]
-        if kind == _PUSH:
-            ops.append((_PUSH, frozenset((ins.operand or 0,)), 0))
-        elif kind == _JUMP or kind == _JUMPI:
-            jumps = True
-            ops.append((kind, ins.pc, 0))
-        elif kind != _EFFECT or template[1] or template[2]:
-            ops.append(template)
-    terminator = block.terminator
-    name = terminator.op.name
-    falls = name == "JUMPI" or (
-        not jumps and not terminator.op.is_terminator and name != "UNKNOWN"
-    )
-    return tuple(ops), terminator.next_pc if falls else None
-
-
-def _transfer(
-    ops: Tuple[Tuple, ...], in_stack: Tuple[AbsValue, ...]
-) -> Tuple[Tuple[AbsValue, ...], Optional[int], AbsValue]:
-    """Abstractly execute compiled ``ops`` from ``in_stack``.
-
-    Stacks are bottom-first lists, so every push and pop works at the
-    end.  Returns ``(out stack, jump pc or None, jump targets)``; the
-    targets are None (unknown) when the block has no jump.
-    """
-    stack: List[AbsValue] = list(in_stack)
-    pop = stack.pop
-    push = stack.append
-    jump_pc: Optional[int] = None
-    targets: AbsValue = None
-    for kind, a, b in ops:
-        if kind == _PUSH:
-            push(a)
-            if len(stack) > MAX_STACK:
-                del stack[0]
-        elif kind == _DUP:
-            push(stack[-a] if a <= len(stack) else None)
-            if len(stack) > MAX_STACK:
-                del stack[0]
-        elif kind == _SWAP:
-            if len(stack) <= a:
-                stack[:0] = [None] * (a + 1 - len(stack))
-            stack[-1], stack[-1 - a] = stack[-1 - a], stack[-1]
-        elif kind == _EFFECT:
-            if a:
-                del stack[-a:]
-            if b:
-                stack.extend([None] * b)
-                if len(stack) > MAX_STACK:
-                    del stack[:len(stack) - MAX_STACK]
-        elif kind == _FOLD_OP:
-            x = pop() if stack else None
-            y = pop() if stack else None
-            push(
-                _cross_fold(a, x, y) if x is not None and y is not None
-                else None
-            )
-        elif kind == _NOT:
-            x = pop() if stack else None
-            push(frozenset((~v) & _MASK for v in x) if x is not None else None)
-        else:  # _JUMP / _JUMPI
-            jump_pc = a
-            targets = pop() if stack else None
-            if kind == _JUMPI and stack:
-                pop()
-    return tuple(stack), jump_pc, targets
+_MACHINE = Machine(
+    const=lambda value: frozenset((value,)),
+    unknown=None,
+    cap=MAX_STACK,
+    handlers={
+        "NOT": lambda _ctx, _pc, x: (
+            None if x is None else frozenset((~v) & MASK for v in x)
+        ),
+    },
+    binops=FOLD,
+    binop=_cross_fold,
+)
 
 
 def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
     """Run the push-constant dataflow and return the augmented CFG.
 
-    Each reached block is compiled once into op triples
-    (:func:`_compile`); every later visit only re-runs the compiled ops
-    from the block's joined in-state.  Visits keep the LIFO worklist
-    order, and ``resolved``/``invalid``/``unresolved`` accumulate across
-    visits: once a target set widens to unknown, the result depends on
-    that order.
+    A join fixpoint on :func:`~repro.analysis.absint.walk`: every block
+    is lowered once up front, and each visit re-runs its ops from the
+    block's joined in-state.  ``resolved``/``invalid``/``unresolved``
+    accumulate across visits in LIFO worklist order: once a target set
+    widens to unknown, the result depends on that order.
     """
     blocks = cfg.blocks
     dests = cfg.valid_jumpdests
-
-    in_states: Dict[int, Tuple[AbsValue, ...]] = {cfg.entry: ()}
     resolved: Dict[int, Set[int]] = {}
     invalid: Dict[int, Set[int]] = {}
     unresolved: Set[int] = set()
-    successors: Dict[int, Set[int]] = {
+    edges: Dict[int, Set[int]] = {
         start: set(block.successors) for start, block in blocks.items()
     }
-    compiled: Dict[int, Tuple[Tuple[Tuple, ...], Optional[int]]] = {}
+    lowered = {start: _MACHINE.lower(block) for start, block in blocks.items()}
+    run = _MACHINE.run
 
-    visits: Dict[int, int] = {}
-    incomplete = False
-    work: List[int] = [cfg.entry] if cfg.entry in blocks else []
-    on_work: Set[int] = set(work)
-
-    def propagate(target: int, out_stack: Tuple[AbsValue, ...]) -> None:
-        if target not in blocks:
-            return
-        current = in_states.get(target)
-        joined = out_stack if current is None else _join_stacks(current, out_stack)
-        if current is None or joined != current:
-            in_states[target] = joined
-            if target not in on_work:
-                work.append(target)
-                on_work.add(target)
-
-    while work:
-        start = work.pop()
-        on_work.discard(start)
-        count = visits.get(start, 0) + 1
-        visits[start] = count
-        if count > _MAX_VISITS_PER_BLOCK:
-            incomplete = True
-            continue
-        lowered = compiled.get(start)
-        if lowered is None:
-            lowered = compiled[start] = _compile(blocks[start])
-        ops, fall_pc = lowered
-        out_stack, jump_pc, jump_targets = _transfer(
-            ops, in_states.get(start, ())
-        )
-
-        if jump_pc is not None:
-            if jump_targets is None:
+    def step(start: int, in_stack: Tuple[AbsValue, ...]) -> Tuple:
+        ops, fall_pc = lowered[start]
+        stack = list(in_stack)
+        jump = run(ops, stack)
+        successors = []
+        if jump is not None:
+            jump_pc = ops[-1][2]
+            if jump[0] is None:
                 unresolved.add(jump_pc)
             else:
                 unresolved.discard(jump_pc)
                 good = resolved.setdefault(jump_pc, set())
                 bad = invalid.setdefault(jump_pc, set())
-                for target in jump_targets:
+                for target in jump[0]:
                     (good if target in dests else bad).add(target)
+                edges[start].update(good)
                 for target in good:
-                    if target not in successors[start]:
-                        successors[start].add(target)
-                    propagate(target, out_stack)
+                    if target in blocks:
+                        successors.append(target)
                 if not bad:
                     invalid.pop(jump_pc, None)
-        if fall_pc is not None:
-            propagate(fall_pc, out_stack)
+        if fall_pc in blocks:
+            successors.append(fall_pc)
+        return tuple(stack), successors
 
+    incomplete = False
+    if cfg.entry in blocks:
+        _, incomplete = walk(
+            cfg.entry, (), step, _MAX_VISITS_PER_BLOCK, _join_stacks
+        )
     # A jump that stayed unresolved on every visit but also never saw a
     # constant is input-dependent; one resolved on a later visit leaves
     # the unresolved set above.  Jumps in blocks the fixpoint never
     # reached (dead code) are reported as neither.
     return ResolvedCFG(
         base=cfg,
-        successors={s: frozenset(v) for s, v in successors.items()},
+        successors={s: frozenset(v) for s, v in edges.items()},
         resolved_targets={pc: frozenset(v) for pc, v in resolved.items()},
         unresolved_jumps=frozenset(unresolved),
         invalid_targets={pc: frozenset(v) for pc, v in invalid.items()},

@@ -287,14 +287,3 @@ def pass_versions() -> Dict[str, int]:
     recovery, because any of them could depend on that pass's output.
     """
     return default_pipeline().versions()
-
-
-def schema_aggregate() -> str:
-    """A stable scalar digest of the per-pass versions.
-
-    The derived aggregate replacing the old single
-    ``ANALYSIS_SCHEMA_VERSION`` constant wherever one value is wanted
-    (human-readable reports, profile documents).
-    """
-    versions = pass_versions()
-    return ";".join(f"{name}={versions[name]}" for name in sorted(versions))

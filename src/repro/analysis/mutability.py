@@ -34,8 +34,9 @@ would be a guess.  Consumers that must emit a standard ABI degrade
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
+from repro.analysis.absint import Machine
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
 from repro.analysis.reachability import ReachabilityReport, ReachableFunction
@@ -56,7 +57,17 @@ STATE_READ_OPS = frozenset([
     "BLOCKHASH", "STATICCALL",
 ])
 
-_STACK_LIMIT = 32
+#: Tokens are ``("cv", inverted)`` for a ``CALLVALUE``-derived word
+#: under some number of ``ISZERO``s, or None (opaque).
+_MACHINE = Machine(
+    const=lambda _value: None,
+    unknown=None,
+    cap=32,
+    handlers={
+        "CALLVALUE": lambda _ctx, _pc: ("cv", False),
+        "ISZERO": lambda _ctx, _pc, token: ("cv", not token[1]) if token else None,
+    },
+)
 
 
 @dataclass
@@ -83,9 +94,9 @@ def _always_reverts(rcfg: ResolvedCFG, start: int) -> bool:
 def _entry_has_guard(rcfg: ResolvedCFG, function: ReachableFunction) -> bool:
     """The function's entry block ends in a value-rejecting ``JUMPI``.
 
-    A tiny within-block token walk tracks which stack slots hold a
-    ``CALLVALUE``-derived word and how many ``ISZERO``s inverted it;
-    everything else is opaque.  When the terminating ``JUMPI``'s
+    A within-block run of the token machine tracks which stack slots
+    hold a ``CALLVALUE``-derived word and how many ``ISZERO``s inverted
+    it; everything else is opaque.  When the terminating ``JUMPI``'s
     condition is value-derived, the *rejecting* side (the fallthrough
     for the ``ISZERO`` form, the jump targets for the raw form) must
     provably revert for this to count as a guard.
@@ -93,57 +104,20 @@ def _entry_has_guard(rcfg: ResolvedCFG, function: ReachableFunction) -> bool:
     block = rcfg.blocks.get(function.entry)
     if block is None:
         return False
-
-    # Stack of Optional[(tag, inverted)] tokens; None = opaque.
-    stack: List[Optional[Tuple[str, bool]]] = []
-
-    def pop() -> Optional[Tuple[str, bool]]:
-        return stack.pop(0) if stack else None
-
-    def push(token: Optional[Tuple[str, bool]]) -> None:
-        stack.insert(0, token)
-        del stack[_STACK_LIMIT:]
-
-    for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if name == "CALLVALUE":
-            push(("cv", False))
-        elif name == "ISZERO":
-            token = pop()
-            push(("cv", not token[1]) if token else None)
-        elif op.is_push:
-            push(None)
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else None)
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(None)
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name == "JUMPI":
-            pop()  # the target
-            condition = pop()
-            if condition is None:
-                return False
-            inverted = condition[1]
-            if inverted:
-                # Jump taken when CALLVALUE == 0: falling through is
-                # the rejecting side.
-                return _always_reverts(rcfg, ins.pc + 1)
-            # Raw CALLVALUE condition: the jump itself rejects.
-            targets = rcfg.resolved_targets.get(ins.pc, frozenset())
-            if not targets:
-                # All-invalid targets: taking the jump always throws.
-                return ins.pc in rcfg.invalid_targets
-            return all(_always_reverts(rcfg, t) for t in targets)
-        else:
-            for _ in range(op.pops):
-                pop()
-            for _ in range(op.pushes):
-                push(None)
-    return False
+    jump = _MACHINE.run(_MACHINE.lower(block)[0], [])
+    if jump is None or jump[1] is None:
+        return False  # no JUMPI, or an opaque condition
+    pc = block.terminator.pc
+    if jump[1][1]:
+        # Jump taken when CALLVALUE == 0: falling through is the
+        # rejecting side.
+        return _always_reverts(rcfg, pc + 1)
+    # Raw CALLVALUE condition: the jump itself rejects.
+    targets = rcfg.resolved_targets.get(pc, frozenset())
+    if not targets:
+        # All-invalid targets: taking the jump always throws.
+        return pc in rcfg.invalid_targets
+    return all(_always_reverts(rcfg, t) for t in targets)
 
 
 def _classify(rcfg: ResolvedCFG, function: ReachableFunction) -> str:

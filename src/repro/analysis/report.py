@@ -37,30 +37,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport, region_preimage
-from repro.analysis.framework import (
-    AnalysisContext,
-    default_pipeline,
-    pass_versions,
-    schema_aggregate,
-)
+from repro.analysis.framework import AnalysisContext, default_pipeline, pass_versions
 from repro.analysis.mutability import MutabilityReport
-from repro.analysis.reachability import ReachabilityReport
+from repro.analysis.reachability import ReachabilityReport, region_closed
 from repro.analysis.returns import ReturnsReport
 from repro.analysis.stackcheck import Finding, StackReport
 from repro.analysis.storage import StorageLayout
 from repro.obs import MetricsRegistry, SpanTracer
 
-
-def _analysis_schema_version() -> str:
-    """Backward-compatible single scalar: the per-pass aggregate."""
-    return schema_aggregate()
-
-
-#: The derived aggregate of the per-pass schema versions.  Kept for
-#: importers of the old single constant; the cache fingerprint now
-#: folds the full per-pass dict (:func:`repro.analysis.framework.
-#: pass_versions`) so one pass bump invalidates precisely and visibly.
-ANALYSIS_SCHEMA_VERSION = _analysis_schema_version()
 
 #: Opcodes that can appear in a block provably free of TASE events.
 _SILENT_OPS = frozenset(
@@ -168,29 +152,10 @@ class ContractAnalysis:
             closed: Dict[int, FrozenSet[int]] = {}
             if not self.cfg.incomplete:
                 for selector, region in self.dispatcher.regions.items():
-                    if self._region_closed(region):
+                    if region_closed(self.cfg, region):
                         closed[selector] = region
             self._closed_regions = closed
         return self._closed_regions
-
-    def _region_closed(self, region: FrozenSet[int]) -> bool:
-        blocks = self.cfg.blocks
-        for start in region:
-            block = blocks.get(start)
-            if block is None:
-                return False
-            terminator = block.terminator
-            if terminator.op.name in ("JUMP", "JUMPI"):
-                if terminator.pc in self.cfg.unresolved_jumps:
-                    return False
-                if (
-                    terminator.pc not in self.cfg.resolved_targets
-                    and terminator.pc not in self.cfg.invalid_targets
-                ):
-                    # The fixpoint never classified this jump at all —
-                    # possible only in corner cases; stay conservative.
-                    return False
-        return True
 
     def function_preimage(self, selector: int) -> Optional[bytes]:
         """Memoization preimage for one function, or ``None``.

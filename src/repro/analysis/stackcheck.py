@@ -28,10 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from repro.analysis.absint import walk
 from repro.analysis.dataflow import ResolvedCFG
 
 #: The EVM's hard stack-size limit.
 STACK_LIMIT = 1024
+#: Every in-interval ``[lo, hi]`` lies within ``0..STACK_LIMIT`` and
+#: only grows (``lo`` falls, ``hi`` rises), so no block is stepped more
+#: than once plus once per growth: the walk can never exhaust this.
+_MAX_VISITS = 2 * STACK_LIMIT + 1
 
 
 @dataclass(frozen=True)
@@ -59,30 +64,33 @@ class StackReport:
         return not any(f.severity == "error" for f in self.findings)
 
 
-def _block_effect(block) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
-    """(net, min_rel, max_rel, [(pc, pops_at, rel_before)]) for a block.
+def _block_effect(block) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+    """(net, max_rel, [(pc, pops_at, rel_before)]) for a block.
 
-    ``min_rel`` is the lowest ``rel_before - pops`` over the block —
-    the entry height must be at least ``-min_rel``.  ``max_rel`` is the
-    highest height relative to entry reached inside the block.
+    ``max_rel`` is the highest height relative to entry reached inside
+    the block.
     """
     rel = 0
-    min_rel = 0
     max_rel = 0
     per_ins: List[Tuple[int, int, int]] = []
     for ins in block.instructions:
         per_ins.append((ins.pc, ins.op.pops, rel))
-        low = rel - ins.op.pops
-        if low < min_rel:
-            min_rel = low
-        rel = low + ins.op.pushes
+        rel += ins.op.pushes - ins.op.pops
         if rel > max_rel:
             max_rel = rel
-    return rel, min_rel, max_rel, per_ins
+    return rel, max_rel, per_ins
+
+
+def _hull(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    return (a[0] if a[0] < b[0] else b[0], a[1] if a[1] > b[1] else b[1])
 
 
 def verify_stack(rcfg: ResolvedCFG) -> StackReport:
-    """Verify stack discipline over all code reachable from the entry."""
+    """Verify stack discipline over all code reachable from the entry.
+
+    A join fixpoint on :func:`~repro.analysis.absint.walk` whose states
+    are entry-height intervals, joined by their hull.
+    """
     blocks = rcfg.blocks
     findings: List[Finding] = []
     seen_keys: Set[Tuple[str, int]] = set()
@@ -112,25 +120,17 @@ def verify_stack(rcfg: ResolvedCFG) -> StackReport:
         return StackReport(entry_heights={}, findings=tuple(findings))
 
     effects = {start: _block_effect(block) for start, block in blocks.items()}
-    intervals: Dict[int, Tuple[int, int]] = {rcfg.entry: (0, 0)}
-    work: List[int] = [rcfg.entry]
-    on_work: Set[int] = {rcfg.entry}
 
-    while work:
-        start = work.pop()
-        on_work.discard(start)
-        lo, hi = intervals[start]
-        net, min_rel, max_rel, per_ins = effects[start]
-
-        broken = False
+    def step(start: int, heights: Tuple[int, int]) -> Tuple:
+        lo, hi = heights
+        net, max_rel, per_ins = effects[start]
         for pc, pops, rel_before in per_ins:
             if pops and hi + rel_before - pops < 0:
                 report(
                     "stack-underflow", pc,
                     f"pops {pops} with at most {hi + rel_before} on the stack",
                 )
-                broken = True
-                break
+                return None, ()  # garbage heights downstream would cascade
             if pops and lo + rel_before - pops < 0:
                 report(
                     "unbalanced-join", pc,
@@ -140,34 +140,18 @@ def verify_stack(rcfg: ResolvedCFG) -> StackReport:
                 )
                 # Keep going with the surviving (higher) heights.
                 lo = pops - rel_before
-        if broken:
-            continue  # garbage heights downstream would cascade
         if hi + max_rel > STACK_LIMIT:
             report(
                 "stack-overflow",
                 block_pc_of_max(blocks[start], max_rel),
                 f"stack grows to {hi + max_rel} (> {STACK_LIMIT})",
             )
-            continue
+            return None, ()
+        # The jump/jumpi operands are already popped in `net`.
+        successors = rcfg.successors.get(start, ())
+        return (lo + net, hi + net), filter(blocks.__contains__, successors)
 
-        out = (lo + net, hi + net)
-        for succ in rcfg.successors.get(start, ()):
-            if succ not in blocks:
-                continue
-            slo, shi = out
-            # The jump/jumpi operands are already popped in `net`.
-            current = intervals.get(succ)
-            joined = (
-                (slo, shi)
-                if current is None
-                else (min(current[0], slo), max(current[1], shi))
-            )
-            if joined != current:
-                intervals[succ] = joined
-                if succ not in on_work:
-                    work.append(succ)
-                    on_work.add(succ)
-
+    intervals, _ = walk(rcfg.entry, (0, 0), step, _MAX_VISITS, _hull)
     return StackReport(entry_heights=intervals, findings=tuple(findings))
 
 

@@ -17,7 +17,8 @@ Variables", PAPERS.md):
   elements addressed base-plus-index.
 
 This pass walks the resolved CFG (the jump-resolution product the
-pipeline already computes) with a small token domain — constants,
+pipeline already computes) path-sensitively on the shared core
+(:mod:`repro.analysis.absint`) with a small token domain — constants,
 environment values, hash-derived slot expressions, and tagged storage
 words — plus an abstract scratch memory for constant-offset ``MSTORE``s
 below 0x60, which is exactly the region solc's hashing idiom uses.
@@ -41,19 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.absint import FOLD, MASK, Machine, walk
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
-
-_MASK = (1 << 256) - 1
 
 # Token kinds.
 _CONST = "c"
 _ENV = "env"  # CALLER / ORIGIN / ADDRESS — address-typed environment
 _HASH = "h"  # a hash-derived slot expression (see expr grammar below)
 _SVAL = "sv"  # a word loaded from storage: ("sv", access id, shift bits)
-_UNKNOWN = "?"
-
-_Token = Tuple
+_UNKNOWN = ("?",)
 
 # Slot-expression grammar (nested tuples, innermost = declaration slot):
 #   ("const", n)                      a constant slot
@@ -67,10 +65,14 @@ _EXPR_DEPTH_LIMIT = 6
 #: Environment opcodes that push a 160-bit address-typed word.
 _ADDRESS_ENVS = frozenset(["CALLER", "ORIGIN", "ADDRESS", "COINBASE"])
 
+#: The ops this pass constant-folds.
+_FOLDS = {
+    name: FOLD[name] for name in ("ADD", "SUB", "MUL", "AND", "OR", "SHL", "SHR")
+}
+
 #: Re-walk budget per block; dispatcher-style loops are bounded, this
 #: only guards crafted cyclic storage code.
 _MAX_VISITS = 24
-_MAX_STACK = 24
 #: Scratch memory offsets tracked for the keccak idiom (solc hashes
 #: from 0x00; 0x40/0x50 appear in some layouts).
 _SCRATCH_LIMIT = 0x60
@@ -166,20 +168,19 @@ class StorageLayout:
 # The abstract walk.
 
 
-def _unknown() -> _Token:
-    return (_UNKNOWN,)
-
-
-def _is_const(token: _Token, value: Optional[int] = None) -> bool:
-    return token[0] == _CONST and (value is None or token[1] == value)
-
-
 def _expr_depth(expr: Tuple) -> int:
     depth = 0
     while expr[0] != "const":
         depth += 1
         expr = expr[-1]
     return depth
+
+
+def _slot_expr(token: Tuple) -> Optional[Tuple]:
+    """The slot expression a token addresses, or None."""
+    if token[0] == _CONST:
+        return ("const", token[1])
+    return token[1] if token[0] == _HASH else None
 
 
 def _low_mask_bits(value: int) -> Optional[int]:
@@ -190,11 +191,43 @@ def _low_mask_bits(value: int) -> Optional[int]:
     return None
 
 
-class _Walk:
-    """One storage walk over a resolved CFG."""
+def _fold_consts(fold, a: Tuple, b: Tuple) -> Tuple:
+    """a = stack top (popped first), b = next — EVM operand order."""
+    if a[0] == _CONST and b[0] == _CONST:
+        return (_CONST, fold(a[1], b[1]))
+    return _UNKNOWN
 
-    def __init__(self, rcfg: ResolvedCFG) -> None:
-        self.rcfg = rcfg
+
+def _add(_facts, _pc: int, a: Tuple, b: Tuple) -> Tuple:
+    for x in (a, b):
+        if x[0] == _HASH:
+            inner = x[1]
+            if inner[0] == "elt":  # keep elt chains flat
+                return x
+            if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
+                return _UNKNOWN
+            return (_HASH, ("elt", inner))
+    return _fold_consts(_FOLDS["ADD"], a, b)
+
+
+def _shr(_facts, _pc: int, a: Tuple, b: Tuple) -> Tuple:
+    if a[0] == _CONST and b[0] == _SVAL:
+        return (_SVAL, b[1], b[2] + a[1])
+    return _fold_consts(_FOLDS["SHR"], a, b)
+
+
+def _div(_facts, _pc: int, a: Tuple, b: Tuple) -> Tuple:
+    if a[0] == _SVAL and b[0] == _CONST:
+        shift = b[1].bit_length() - 1
+        if b[1] == 1 << shift:
+            return (_SVAL, a[1], a[2] + shift)
+    return _UNKNOWN
+
+
+class _Facts:
+    """What one storage walk observed; the context of its handlers."""
+
+    def __init__(self) -> None:
         # (pc, op, expr-or-None), deduplicated: revisit order and count
         # must not perturb the layout (determinism under any schedule).
         self.sites: Set[Tuple[int, str, Optional[Tuple]]] = set()
@@ -202,11 +235,8 @@ class _Walk:
         self.loads: List[Tuple[int, int]] = []
         # (slot, offset bytes, width bytes, signed) field observations.
         self.fields: Set[Tuple[int, int, int, bool]] = set()
-
-    # -- token helpers -------------------------------------------------
-
-    def _record(self, pc: int, op: str, expr: Optional[Tuple]) -> None:
-        self.sites.add((pc, op, expr))
+        # The stepped block's scratch memory: offset -> token.
+        self.memory: Dict[int, Tuple] = {}
 
     def _field(self, access_id: int, shift_bits: int, mask_bits: int,
                signed: bool = False) -> None:
@@ -215,140 +245,43 @@ class _Walk:
         _pc, slot = self.loads[access_id]
         self.fields.add((slot, shift_bits // 8, mask_bits // 8, signed))
 
-    def _binop(self, name: str, a: _Token, b: _Token) -> _Token:
-        """a = stack top (popped first), b = next — EVM operand order."""
-        if _is_const(a) and _is_const(b):
-            va, vb = a[1], b[1]
-            if name == "ADD":
-                return (_CONST, (va + vb) & _MASK)
-            if name == "SUB":
-                return (_CONST, (va - vb) & _MASK)
-            if name == "MUL":
-                return (_CONST, (va * vb) & _MASK)
-            if name == "AND":
-                return (_CONST, va & vb)
-            if name == "OR":
-                return (_CONST, va | vb)
-            if name == "SHL":
-                return (_CONST, (vb << va) & _MASK if va < 256 else 0)
-            if name == "SHR":
-                return (_CONST, vb >> va if va < 256 else 0)
-            return _unknown()
-        if name == "ADD":
-            for x, y in ((a, b), (b, a)):
-                if x[0] == _HASH:
-                    inner = x[1]
-                    if inner[0] == "elt":  # keep elt chains flat
-                        return x
-                    if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                        return _unknown()
-                    return (_HASH, ("elt", inner))
-            return _unknown()
-        if name in ("SHR", "DIV") and b[0] == _SVAL:
-            # SHR(k, sv) or DIV(sv, 2^k): a is the shift/divisor...
-            # operand order differs: SHR pops shift first, DIV pops the
-            # numerator first.
-            return _unknown()
-        return _unknown()
+    # -- handlers: (pc, operands top first) -> the pushed token --------
 
-    # -- the per-block transfer ---------------------------------------
+    def sload(self, pc: int, slot: Tuple) -> Tuple:
+        self.sites.add((pc, "load", _slot_expr(slot)))
+        if slot[0] != _CONST:
+            return _UNKNOWN
+        self.loads.append((pc, slot[1]))
+        return (_SVAL, len(self.loads) - 1, 0)
 
-    def walk_block(
-        self, block, stack: List[_Token], memory: Dict[int, _Token]
-    ) -> None:
-        """Execute one block in place over (stack, memory)."""
+    def sstore(self, pc: int, slot: Tuple, _value: Tuple) -> None:
+        self.sites.add((pc, "store", _slot_expr(slot)))
 
-        def pop() -> _Token:
-            return stack.pop(0) if stack else _unknown()
+    def mstore(self, _pc: int, loc: Tuple, value: Tuple) -> None:
+        if loc[0] == _CONST and loc[1] < _SCRATCH_LIMIT:
+            self.memory[loc[1]] = value
+        # Unknown/high offsets: scratch survives (see module doc).
 
-        def push(token: _Token) -> None:
-            stack.insert(0, token)
-            del stack[_MAX_STACK:]
+    def sha3(self, _pc: int, offset: Tuple, length: Tuple) -> Tuple:
+        if offset[0] != _CONST or length[0] != _CONST:
+            return _UNKNOWN
+        base = offset[1]
+        if length[1] == 0x40:
+            key = self.memory.get(base, _UNKNOWN)
+            inner = _slot_expr(self.memory.get(base + 0x20, _UNKNOWN))
+            head: Tuple = ("map", "address" if key[0] == _ENV else "word")
+        elif length[1] == 0x20:
+            inner = _slot_expr(self.memory.get(base, _UNKNOWN))
+            head = ("arr",)
+        else:
+            return _UNKNOWN
+        if inner is None or _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
+            return _UNKNOWN
+        return (_HASH, head + (inner,))
 
-        for ins in block.instructions:
-            op = ins.op
-            name = op.name
-            if op.is_push:
-                push((_CONST, ins.operand or 0))
-            elif op.is_dup:
-                depth = op.code - 0x7F
-                push(stack[depth - 1] if depth <= len(stack) else _unknown())
-            elif op.is_swap:
-                depth = op.code - 0x8F
-                while len(stack) < depth + 1:
-                    stack.append(_unknown())
-                stack[0], stack[depth] = stack[depth], stack[0]
-            elif name in _ADDRESS_ENVS:
-                push((_ENV, name))
-            elif name == "SLOAD":
-                slot = pop()
-                if _is_const(slot):
-                    access_id = len(self.loads)
-                    self.loads.append((ins.pc, slot[1]))
-                    self._record(ins.pc, "load", ("const", slot[1]))
-                    push((_SVAL, access_id, 0))
-                elif slot[0] == _HASH:
-                    self._record(ins.pc, "load", slot[1])
-                    push(_unknown())
-                else:
-                    self._record(ins.pc, "load", None)
-                    push(_unknown())
-            elif name == "SSTORE":
-                slot = pop()
-                pop()  # the stored value
-                if _is_const(slot):
-                    self._record(ins.pc, "store", ("const", slot[1]))
-                elif slot[0] == _HASH:
-                    self._record(ins.pc, "store", slot[1])
-                else:
-                    self._record(ins.pc, "store", None)
-            elif name == "MSTORE":
-                loc, value = pop(), pop()
-                if _is_const(loc) and loc[1] < _SCRATCH_LIMIT:
-                    memory[loc[1]] = value
-                # Unknown/high offsets: scratch survives (see module doc).
-            elif name == "SHA3":
-                offset, length = pop(), pop()
-                push(self._sha3(offset, length, memory))
-            elif name == "AND":
-                a, b = pop(), pop()
-                push(self._and(a, b))
-            elif name in ("SHR", "DIV"):
-                a, b = pop(), pop()
-                if name == "SHR" and _is_const(a) and b[0] == _SVAL:
-                    push((_SVAL, b[1], b[2] + a[1]))
-                elif name == "DIV" and a[0] == _SVAL and _is_const(b):
-                    shift = b[1].bit_length() - 1
-                    if b[1] == 1 << shift:
-                        push((_SVAL, a[1], a[2] + shift))
-                    else:
-                        push(_unknown())
-                else:
-                    push(self._binop(name, a, b))
-            elif name == "SIGNEXTEND":
-                a, b = pop(), pop()
-                if _is_const(a) and b[0] == _SVAL and a[1] < 32:
-                    self._field(b[1], b[2], 8 * (a[1] + 1), signed=True)
-                    push(b)
-                else:
-                    push(_unknown())
-            elif name == "JUMP":
-                pop()
-            elif name == "JUMPI":
-                pop()
-                pop()
-            elif op.pops == 2 and op.pushes == 1:
-                a, b = pop(), pop()
-                push(self._binop(name, a, b))
-            else:
-                for _ in range(op.pops):
-                    pop()
-                for _ in range(op.pushes):
-                    push(_unknown())
-
-    def _and(self, a: _Token, b: _Token) -> _Token:
+    def and_(self, _pc: int, a: Tuple, b: Tuple) -> Tuple:
         for value, mask in ((a, b), (b, a)):
-            if value[0] == _SVAL and _is_const(mask):
+            if value[0] == _SVAL and mask[0] == _CONST:
                 bits = _low_mask_bits(mask[1])
                 if bits is not None:
                     # shift-then-mask: a packed field read.
@@ -356,7 +289,7 @@ class _Walk:
                     return value
                 # Read-modify-write clear mask: ~mask is a contiguous
                 # byte-aligned field — the write side of a packed slot.
-                hole = (~mask[1]) & _MASK
+                hole = (~mask[1]) & MASK
                 if hole:
                     low = (hole & -hole).bit_length() - 1
                     width = hole.bit_length() - low
@@ -366,38 +299,34 @@ class _Walk:
                     ):
                         _pc, slot = self.loads[value[1]]
                         self.fields.add((slot, low // 8, width // 8, False))
-                    return (_SVAL, value[1], value[2])
-                return _unknown()
-        return self._binop("AND", a, b)
+                    return value
+                return _UNKNOWN
+        return _fold_consts(_FOLDS["AND"], a, b)
 
-    def _sha3(
-        self, offset: _Token, length: _Token, memory: Dict[int, _Token]
-    ) -> _Token:
-        if not (_is_const(offset) and _is_const(length)):
-            return _unknown()
-        base = offset[1]
-        if length[1] == 0x40:
-            key = memory.get(base, _unknown())
-            slot_source = memory.get(base + 0x20, _unknown())
-            inner: Optional[Tuple] = None
-            if _is_const(slot_source):
-                inner = ("const", slot_source[1])
-            elif slot_source[0] == _HASH:
-                inner = slot_source[1]
-            if inner is None or _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                return _unknown()
-            keytag = "address" if key[0] == _ENV else "word"
-            return (_HASH, ("map", keytag, inner))
-        if length[1] == 0x20:
-            base_token = memory.get(base, _unknown())
-            if _is_const(base_token):
-                return (_HASH, ("arr", ("const", base_token[1])))
-            if base_token[0] == _HASH:
-                inner = base_token[1]
-                if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                    return _unknown()
-                return (_HASH, ("arr", inner))
-        return _unknown()
+    def signextend(self, _pc: int, a: Tuple, b: Tuple) -> Tuple:
+        if a[0] == _CONST and b[0] == _SVAL and a[1] < 32:
+            self._field(b[1], b[2], 8 * (a[1] + 1), signed=True)
+            return b
+        return _UNKNOWN
+
+
+_MACHINE = Machine(
+    const=lambda value: (_CONST, value),
+    unknown=_UNKNOWN,
+    cap=24,
+    handlers={
+        "ADD": _add, "SHR": _shr, "DIV": _div,
+        "SLOAD": _Facts.sload, "SSTORE": _Facts.sstore,
+        "MSTORE": _Facts.mstore, "SHA3": _Facts.sha3,
+        "AND": _Facts.and_, "SIGNEXTEND": _Facts.signextend,
+        **{
+            name: lambda _facts, _pc, name=name: (_ENV, name)
+            for name in _ADDRESS_ENVS
+        },
+    },
+    binops=_FOLDS,
+    binop=_fold_consts,
+)
 
 
 def _root_slot(expr: Tuple) -> Optional[int]:
@@ -452,40 +381,32 @@ def recover_storage_layout(
 ) -> StorageLayout:
     """Recover the storage layout from a resolved CFG.
 
-    ``dispatcher`` (when available) attributes each variable to the
-    selectors whose statically reachable region touches it.
+    Each distinct (block, stack, scratch memory) state is stepped once,
+    at most ``_MAX_VISITS`` times per block.  ``dispatcher`` (when
+    available) attributes each variable to the selectors whose
+    statically reachable region touches it.
     """
-    walk = _Walk(rcfg)
+    facts = _Facts()
     blocks = rcfg.blocks
+    lowered = {start: _MACHINE.lower(block) for start, block in blocks.items()}
+
+    def step(start: int, state: Tuple) -> Tuple:
+        stack = list(state[0])
+        facts.memory = dict(state[1])
+        _MACHINE.run(lowered[start][0], stack, facts)
+        successors = sorted(rcfg.successors.get(start, ()))
+        return (
+            (tuple(stack), tuple(sorted(facts.memory.items()))),
+            filter(blocks.__contains__, successors),
+        )
+
     if rcfg.entry in blocks:
-        visits: Dict[int, int] = {}
-        initial = (rcfg.entry, (), ())
-        work: List[Tuple[int, Tuple, Tuple]] = [initial]
-        seen: Set[Tuple[int, Tuple, Tuple]] = {initial}
-        while work:
-            start, stack_state, memory_state = work.pop()
-            block = blocks.get(start)
-            if block is None:
-                continue
-            count = visits.get(start, 0) + 1
-            if count > _MAX_VISITS:
-                continue
-            visits[start] = count
-            stack = list(stack_state)
-            memory = dict(memory_state)
-            walk.walk_block(block, stack, memory)
-            out_stack = tuple(stack)
-            out_memory = tuple(sorted(memory.items()))
-            for successor in sorted(rcfg.successors.get(start, ())):
-                state = (successor, out_stack, out_memory)
-                if successor in blocks and state not in seen:
-                    seen.add(state)
-                    work.append(state)
+        walk(rcfg.entry, ((), ()), step, _MAX_VISITS)
 
     accesses = tuple(
         StorageAccess(pc, op, expr)
         for pc, op, expr in sorted(
-            walk.sites, key=lambda site: (site[0], site[1], repr(site[2]))
+            facts.sites, key=lambda site: (site[0], site[1], repr(site[2]))
         )
     )
     unresolved = len({a.pc for a in accesses if a.expr is None})
@@ -536,7 +457,7 @@ def recover_storage_layout(
             continue
         fields = sorted(
             (offset, width, signed)
-            for slot, offset, width, signed in walk.fields
+            for slot, offset, width, signed in facts.fields
             if slot == root
         )
         if not fields:

@@ -12,7 +12,6 @@ from repro.analysis.framework import (
     AnalysisPipeline,
     PipelineError,
     pass_versions,
-    schema_aggregate,
 )
 from repro.compiler import compile_contract
 from repro.corpus.datasets import (
@@ -103,11 +102,6 @@ def test_replace_swaps_one_pass():
 
 
 def test_pass_versions_follow_monkeypatched_pipeline(monkeypatch):
-    baseline = pass_versions()
-    aggregate = schema_aggregate()
-    assert aggregate == ";".join(
-        f"{name}={baseline[name]}" for name in sorted(baseline)
-    )
     bumped = DEFAULT_PIPELINE.replace(
         lint=AnalysisPass(
             "lint", 9, framework._run_lint,
@@ -116,7 +110,6 @@ def test_pass_versions_follow_monkeypatched_pipeline(monkeypatch):
     )
     monkeypatch.setattr(framework, "DEFAULT_PIPELINE", bumped)
     assert pass_versions()["lint"] == 9
-    assert schema_aggregate() != aggregate
 
 
 def _pass_runs(metrics):
