@@ -73,8 +73,7 @@ def _instrumented_pass(bytecodes):
         # digest is real caching work (bounded by its own benchmark),
         # not a null-backend guard.
         tool = SigRec(
-            static_check=False, sharded=False, memo=False,
-            inference_memo=False,
+            static_check=False, memo=False, inference_memo=False,
         )
         assert tool.metrics is NULL_REGISTRY and tool.tracer is NULL_TRACER
         recovered += len(tool.recover(code))

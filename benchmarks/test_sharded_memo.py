@@ -44,7 +44,7 @@ def test_warm_memo_batch_beats_monolithic_baseline(record, bench_json, tmp_path)
 
     # PR 4 baseline: monolithic TASE, no function memo, same worker pool.
     baseline_runner = BatchRecovery(
-        tool=SigRec(sharded=False, memo=False), workers=WORKERS
+        tool=SigRec(memo=False), workers=WORKERS
     )
     start = time.perf_counter()
     baseline_results = baseline_runner.recover_all(codes)

@@ -1,6 +1,6 @@
 """Static dispatcher analysis: the selector → entry-block map.
 
-Walks the resolved CFG from the entry with a four-value token domain —
+Walks the base CFG from the entry with a four-value token domain —
 constants, "the first call-data word", "the extracted function id", and
 "a comparison of the function id with constant *c*" — precise enough to
 recognize every dispatcher shape our compilers (and real solc/vyper)
@@ -13,24 +13,26 @@ emit without executing anything:
 * the optional ``CALLDATASIZE < 4`` fallback check.
 
 A ``JUMPI`` whose condition is ``EQ(<id>, c)`` and whose target is a
-resolved constant records ``c → target``; the walk continues down the
-not-matched side only, so function bodies are never entered.  Everything
-else (size checks, ``GT`` splits) is followed both ways.
+valid ``JUMPDEST`` constant records ``c → target``; the walk continues
+down the not-matched side only, so function bodies are never entered.
+Every other spine jump is followed to the constant its token holds when
+that constant is a valid ``JUMPDEST`` (and a ``JUMPI`` also falls
+through), so the walk needs the CFG but no whole-program jump
+resolution.
 
-The per-selector *region* — the blocks statically reachable from the
-entry block along resolved edges — is what the TASE engine uses to
-restrict exploration, and the full selector set is the cross-check
-oracle for the symbolic dispatcher walk.
+The selector set is the cross-check oracle for TASE's symbolic
+dispatcher walk; the per-selector regions over resolved jumps are the
+``reach`` pass's (:mod:`repro.analysis.reachability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.analysis.absint import Machine, walk
-from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.stackcheck import Finding
+from repro.evm.cfg import ControlFlowGraph
 
 _SELECTOR_MASK = 0xFFFFFFFF
 
@@ -81,68 +83,31 @@ _MACHINE = Machine(
 
 @dataclass
 class DispatcherReport:
-    """Everything the static dispatcher walk discovered."""
+    """Everything the static dispatcher walk discovered.
+
+    Per-selector regions and the blocks unreachable from the entry need
+    the jump fixpoint, so they live in the ``reach`` product
+    (:class:`~repro.analysis.reachability.ReachabilityReport`).
+    """
 
     selectors: Tuple[int, ...] = ()
     #: selector -> entry-block start pc.
     entries: Dict[int, int] = field(default_factory=dict)
     #: Block starts visited while walking the dispatcher itself.
     dispatcher_blocks: FrozenSet[int] = frozenset()
-    #: selector -> block starts statically reachable from its entry.
-    regions: Dict[int, FrozenSet[int]] = field(default_factory=dict)
-    #: Block starts unreachable from the contract entry (dead code or
-    #: trailing data).
-    unreachable: FrozenSet[int] = frozenset()
     findings: Tuple[Finding, ...] = ()
 
 
-def region_preimage(
-    rcfg, report: "DispatcherReport", bytecode: bytes, selector: int
-) -> Optional[bytes]:
-    """The byte string that determines one function's recovery.
-
-    A selector-sharded TASE run is a deterministic function of (a) the
-    dispatcher spine it walks from pc 0 to the function entry and (b)
-    the function's statically reachable region — both taken as raw
-    (start, bytes) block spans, so absolute jump targets are part of
-    the key and two layouts never collide.  Hashing this preimage
-    (together with the selector and the engine-options fingerprint) is
-    what lets a proxy/clone corpus — identical code bodies under
-    differing metadata trailers or sibling constants — recover each
-    shared body once.
-
-    Returns ``None`` when the selector has no entry or its region is
-    unknown; the caller must additionally gate on the region being
-    *closed* (every jump resolved) before trusting the preimage.
-    """
-    if selector not in report.entries:
-        return None
-    region = report.regions.get(selector)
-    if region is None:
-        return None
-    blocks = rcfg.blocks
-    parts = [b"sigrec-fn-region:v1", selector.to_bytes(4, "big")]
-    for label, starts in ((b"spine", report.dispatcher_blocks),
-                         (b"region", region)):
-        parts.append(label)
-        for start in sorted(starts):
-            block = blocks.get(start)
-            if block is None:
-                return None
-            parts.append(start.to_bytes(4, "big"))
-            parts.append(bytecode[block.start:block.end])
-    return b"\x00".join(parts)
-
-
-def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
+def extract_dispatch(cfg: ControlFlowGraph) -> DispatcherReport:
     """Walk the dispatcher statically and map selectors to entry blocks.
 
-    A path-sensitive :func:`~repro.analysis.absint.walk`: each distinct
-    (block, token stack) pair is stepped once.
+    A path-sensitive :func:`~repro.analysis.absint.walk` over the base
+    CFG: each distinct (block, token stack) pair is stepped once.
     """
-    blocks = rcfg.blocks
-    if rcfg.entry not in blocks:
+    blocks = cfg.blocks
+    if cfg.entry not in blocks:
         return DispatcherReport()
+    dests = cfg.valid_jumpdests
     findings: List[Finding] = []
     entries: Dict[int, int] = {}
     # Lowered on first visit: the walk reaches only the dispatcher spine.
@@ -160,7 +125,7 @@ def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
         elif jump[1] is not None and jump[1][0] == _SELCMP:
             selector = jump[1][1]
             target = jump[0]
-            if target[0] == _CONST and target[1] in rcfg.valid_jumpdests:
+            if target[0] == _CONST and target[1] in dests:
                 previous = entries.get(selector)
                 if previous is not None and previous != target[1]:
                     findings.append(Finding(
@@ -175,20 +140,16 @@ def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
             # Continue down the not-matched side only.
             successors = [fall_pc]
         else:
-            successors = [*rcfg.resolved_targets.get(ops[-1][2], ()), fall_pc]
+            # Follow the jump only to a valid JUMPDEST its token holds.
+            target = jump[0]
+            valid = target[0] == _CONST and target[1] in dests
+            successors = [target[1] if valid else None, fall_pc]
         return tuple(stack), filter(blocks.__contains__, successors)
 
-    visited, _ = walk(rcfg.entry, (), step, _MAX_VISITS)
-    regions = {
-        selector: rcfg.reachable_from(entry)
-        for selector, entry in entries.items()
-    }
-    unreachable = frozenset(blocks) - rcfg.reachable_from(rcfg.entry)
+    visited, _ = walk(cfg.entry, (), step, _MAX_VISITS)
     return DispatcherReport(
         selectors=tuple(sorted(entries)),
         entries=entries,
         dispatcher_blocks=frozenset(visited),
-        regions=regions,
-        unreachable=unreachable,
         findings=tuple(findings),
     )

@@ -12,9 +12,10 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
 * passes share one :class:`AnalysisContext` per bytecode, which
   computes a product on first access (after its requirements) and
   caches it, so a product is computed at most once however many
-  consumers read it — and never when none does: ``SigRec.recover``
-  reads only cfg/jumps/dispatcher, and the passes only ``abi``,
-  ``profile`` and ``lint`` read stay unrun until one of them asks;
+  consumers read it — and never when none does: a ``SigRec.recover``
+  that runs one TASE walk reads only cfg and dispatcher, and the passes
+  only sharding, ``abi``, ``profile`` and ``lint`` read stay unrun
+  until one of them asks;
 * each pass carries its own **schema version**.  What a pass *means*
   determines how a recovery is sharded and memoized and what a cached
   recovery contains, so the per-pass versions are folded into the
@@ -28,11 +29,16 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
 
 The default pipeline (:data:`DEFAULT_PIPELINE`) is::
 
-    cfg ──► jumps ──► stack
-              ├─────► dispatcher ──► storage
-              │           ├────────► reach ──► mutability
-              │           │            └─────► returns
-              └───────────┴──────────┴─────────────────► lint
+    cfg ─┬─► jumps ──► stack ─────────────────────────┐
+         └─► dispatcher                               │
+    jumps + dispatcher ─┬─► storage ──────────────────┤
+                        └─► reach ─┬─► mutability     ├─► lint
+                                   ├─► returns        │
+                                   └──────────────────┘
+
+The dispatcher walk follows its own spine jumps, so it needs only the
+CFG; per-selector regions and dead code need the jump fixpoint and
+belong to ``reach``.
 
 Adding a pass is three steps: write ``run(ctx)`` reading its inputs via
 ``ctx["name"]``, wrap it in an :class:`AnalysisPass` with a version and
@@ -205,7 +211,7 @@ def _run_stack(ctx: AnalysisContext):
 def _run_dispatcher(ctx: AnalysisContext):
     from repro.analysis.dispatcher import extract_dispatch
 
-    return extract_dispatch(ctx["jumps"])
+    return extract_dispatch(ctx["cfg"])
 
 
 def _run_storage(ctx: AnalysisContext):
@@ -237,7 +243,7 @@ def _run_lint(ctx: AnalysisContext):
 
     return lint_findings(
         ctx.bytecode, ctx["jumps"], ctx["stack"], ctx["dispatcher"],
-        storage=ctx["storage"],
+        ctx["reach"], ctx["storage"],
     )
 
 
@@ -246,7 +252,7 @@ DEFAULT_PIPELINE = AnalysisPipeline((
     AnalysisPass("cfg", 1, _run_cfg),
     AnalysisPass("jumps", 1, _run_jumps, requires=("cfg",)),
     AnalysisPass("stack", 1, _run_stack, requires=("jumps",)),
-    AnalysisPass("dispatcher", 1, _run_dispatcher, requires=("jumps",)),
+    AnalysisPass("dispatcher", 1, _run_dispatcher, requires=("cfg",)),
     AnalysisPass(
         "storage", 1, _run_storage, requires=("jumps", "dispatcher")
     ),
@@ -264,7 +270,7 @@ DEFAULT_PIPELINE = AnalysisPipeline((
     # v2: storage-unresolved blind spots surface as info findings.
     AnalysisPass(
         "lint", 2, _run_lint,
-        requires=("jumps", "stack", "dispatcher", "storage"),
+        requires=("jumps", "stack", "dispatcher", "reach", "storage"),
     ),
 ))
 

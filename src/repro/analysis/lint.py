@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
+from repro.analysis.reachability import ReachabilityReport
 from repro.analysis.report import ContractAnalysis, analyze
 from repro.analysis.stackcheck import Finding, StackReport
 from repro.analysis.storage import StorageLayout, _selector_index
@@ -107,7 +108,7 @@ def _truncated_push(bytecode: bytes, rcfg: ResolvedCFG) -> List[Finding]:
 
 def _storage_blind_spots(
     rcfg: ResolvedCFG,
-    dispatcher: DispatcherReport,
+    reach: ReachabilityReport,
     storage: StorageLayout,
 ) -> List[Finding]:
     """Per-selector unresolved storage-access counts as info findings.
@@ -121,7 +122,7 @@ def _storage_blind_spots(
     })
     if not unresolved_pcs:
         return []
-    selector_of_pc = _selector_index(rcfg, dispatcher)
+    selector_of_pc = _selector_index(rcfg, reach.regions)
     per_selector: Dict[int, List[int]] = {}
     unattributed: List[int] = []
     for pc in unresolved_pcs:
@@ -157,17 +158,19 @@ def lint_findings(
     rcfg: ResolvedCFG,
     stack: StackReport,
     dispatcher: DispatcherReport,
+    reach: ReachabilityReport,
     storage: StorageLayout,
 ) -> Tuple[Finding, ...]:
     """The lint pass: all findings for one bytecode, sorted by pc.
 
     Takes the upstream pass products directly so the pipeline can run
     it without a :class:`ContractAnalysis` wrapper.  ``storage`` adds
-    per-selector unresolved-site blind-spot notes.
+    per-selector unresolved-site blind-spot notes, attributed through
+    ``reach``'s regions; ``reach`` also names the unreachable blocks.
     """
     findings: List[Finding] = list(stack.findings) + list(dispatcher.findings)
     findings.extend(_truncated_push(bytecode, rcfg))
-    findings.extend(_storage_blind_spots(rcfg, dispatcher, storage))
+    findings.extend(_storage_blind_spots(rcfg, reach, storage))
     for pc in sorted(rcfg.unresolved_jumps):
         findings.append(
             Finding(
@@ -177,7 +180,7 @@ def lint_findings(
                 severity="info",
             )
         )
-    unreachable = dispatcher.unreachable
+    unreachable = reach.unreachable
     if unreachable:
         first = min(unreachable)
         findings.append(

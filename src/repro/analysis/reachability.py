@@ -1,14 +1,15 @@
 """Per-selector reachability: which instructions can a function touch?
 
-The dispatcher pass already computes each selector's *region* — the
-blocks statically reachable from its body entry over resolved jump
-edges.  Because jump resolution follows the return-address dispatch of
-internal calls (several callers pushing different return targets into
-one shared block), a region is naturally **interprocedural**: the
-blocks of every internal function a body can call are part of it.
+Each selector's *region* is the set of blocks statically reachable from
+its dispatcher entry over the jump fixpoint's resolved edges.  Because
+jump resolution follows the return-address dispatch of internal calls
+(several callers pushing different return targets into one shared
+block), a region is naturally **interprocedural**: the blocks of every
+internal function a body can call are part of it.
 
-This pass turns regions into an explicit reachability product the
-mutability and returns passes consume:
+This pass turns regions into an explicit reachability product that the
+mutability, returns and lint passes, the function-memo preimage and
+the profile consume:
 
 * ``blocks`` — the region's block starts;
 * ``ops`` — the set of opcode names appearing anywhere in the region
@@ -18,14 +19,17 @@ mutability and returns passes consume:
   terminator inside the region was classified (resolved or provably
   invalid, never unresolved).  An open region may reach code the static
   walk cannot see, so downstream passes must degrade to "unknown"
-  instead of trusting the op set — the same posture as
-  ``ContractAnalysis.closed_regions``.
+  instead of trusting the op set, and only a complete (*closed*)
+  region yields a function-memo preimage.
+
+The report also carries ``unreachable``, the blocks no resolved edge
+reaches from the contract entry (dead code or trailing data).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Optional
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
@@ -54,6 +58,14 @@ class ReachabilityReport:
     #: Mirrors ``ResolvedCFG.incomplete``: the fixpoint hit its safety
     #: valve, so *every* function is incomplete regardless of region.
     incomplete: bool
+    #: Block starts unreachable from the contract entry (dead code or
+    #: trailing data).
+    unreachable: FrozenSet[int]
+
+    @property
+    def regions(self) -> Dict[int, FrozenSet[int]]:
+        """selector -> its region's block starts."""
+        return {s: f.blocks for s, f in self.functions.items()}
 
     def complete_for(self, selector: int) -> bool:
         function = self.functions.get(selector)
@@ -83,13 +95,22 @@ def region_closed(rcfg: ResolvedCFG, region: FrozenSet[int]) -> bool:
     return True
 
 
+def function_regions(
+    rcfg: ResolvedCFG, dispatcher: DispatcherReport
+) -> Dict[int, FrozenSet[int]]:
+    """selector -> the blocks reachable from its entry over resolved jumps."""
+    return {
+        selector: rcfg.reachable_from(entry)
+        for selector, entry in dispatcher.entries.items()
+    }
+
+
 def compute_reachability(
     rcfg: ResolvedCFG, dispatcher: DispatcherReport
 ) -> ReachabilityReport:
-    """Fold dispatcher regions into per-selector reachability facts."""
+    """Per-selector regions over the resolved jumps, with their facts."""
     functions: Dict[int, ReachableFunction] = {}
-    for selector, entry in dispatcher.entries.items():
-        region = frozenset(dispatcher.regions.get(selector, frozenset()))
+    for selector, region in function_regions(rcfg, dispatcher).items():
         complete = not rcfg.incomplete and region_closed(rcfg, region)
         ops = set()
         for start in region:
@@ -100,11 +121,48 @@ def compute_reachability(
                 ops.add(ins.op.name)
         functions[selector] = ReachableFunction(
             selector=selector,
-            entry=entry,
+            entry=dispatcher.entries[selector],
             blocks=region,
             ops=frozenset(ops),
             complete=complete,
         )
     return ReachabilityReport(
-        functions=functions, incomplete=bool(rcfg.incomplete)
+        functions=functions,
+        incomplete=bool(rcfg.incomplete),
+        unreachable=frozenset(rcfg.blocks) - rcfg.reachable_from(rcfg.entry),
     )
+
+
+def region_preimage(
+    rcfg: ResolvedCFG,
+    dispatcher: DispatcherReport,
+    function: ReachableFunction,
+    bytecode: bytes,
+) -> Optional[bytes]:
+    """The byte string that determines one function's recovery.
+
+    A selector-sharded TASE run is a deterministic function of (a) the
+    dispatcher spine it walks from pc 0 to the function entry and (b)
+    the function's statically reachable region — both taken as raw
+    (start, bytes) block spans, so absolute jump targets are part of
+    the key and two layouts never collide.  Hashing this preimage
+    (together with the selector and the engine-options fingerprint) is
+    what lets a proxy/clone corpus — identical code bodies under
+    differing metadata trailers or sibling constants — recover each
+    shared body once.
+
+    The caller must gate on ``function.complete`` (every jump in the
+    region resolved) before trusting the preimage.
+    """
+    blocks = rcfg.blocks
+    parts = [b"sigrec-fn-region:v1", function.selector.to_bytes(4, "big")]
+    for label, starts in ((b"spine", dispatcher.dispatcher_blocks),
+                          (b"region", function.blocks)):
+        parts.append(label)
+        for start in sorted(starts):
+            block = blocks.get(start)
+            if block is None:
+                return None
+            parts.append(start.to_bytes(4, "big"))
+            parts.append(bytecode[block.start:block.end])
+    return b"\x00".join(parts)

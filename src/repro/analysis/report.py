@@ -2,23 +2,24 @@
 
 :func:`analyze` opens an :class:`~repro.analysis.framework.
 AnalysisContext` over the default pipeline and wraps it in a
-:class:`ContractAnalysis`: a view that computes the CFG, jump
-resolution and dispatcher at once (every consumer reads them) and each
-other pass product — stack verification, storage layout,
-reachability, mutability, return shapes, lint findings — on first
-read.  The view is the linter's input, the profile's source, and the
-shard planner's dispatcher map.  ``analyze`` is *total*: it never raises
-on arbitrary byte strings (junk decodes to UNKNOWN instructions, which
-the passes treat as opaque path ends).
+:class:`ContractAnalysis`: a view that computes the CFG and the
+dispatcher at once (every consumer reads the selector set) and each
+other pass product — jump resolution, stack verification, storage
+layout, reachability, mutability, return shapes, lint findings — on
+first read.  The view is the cross-check's selector source, the
+linter's input, the profile's source, and the shard planner's
+dispatcher map.  ``analyze`` is *total*: it never raises on arbitrary
+byte strings (junk decodes to UNKNOWN instructions, which the passes
+treat as opaque path ends).
 
 Two derived views are computed lazily too:
 
 * ``silent_halt_blocks`` — blocks that provably halt without emitting
   any TASE event (only PUSH/POP/JUMPDEST plus a STOP/REVERT/INVALID
   terminator), shown by ``repro inspect``;
-* ``closed_regions`` — per-selector statically reachable block sets,
-  present only when every jump inside the region is resolved; only a
-  closed region yields a function-memo preimage.
+* ``function_preimage`` — a function's memo preimage, only for a
+  ``reach`` function marked complete (a *closed* region: every jump
+  inside resolved, the fixpoint finished).
 
 This module also defines the **contract profile**: the one-document
 description of everything the static layer and the recovery engine
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
-from repro.analysis.dispatcher import DispatcherReport, region_preimage
+from repro.analysis.dispatcher import DispatcherReport
 from repro.analysis.framework import AnalysisContext, default_pipeline, pass_versions
 from repro.analysis.mutability import MutabilityReport
-from repro.analysis.reachability import ReachabilityReport, region_closed
+from repro.analysis.reachability import ReachabilityReport, region_preimage
 from repro.analysis.returns import ReturnsReport
 from repro.analysis.stackcheck import Finding, StackReport
 from repro.analysis.storage import StorageLayout
@@ -71,20 +72,23 @@ class Diagnostic:
 class ContractAnalysis:
     """All static passes over one runtime bytecode, plus derived views.
 
-    A view over one :class:`AnalysisContext`: ``cfg`` (the
-    jump-resolved CFG) and ``dispatcher`` are computed on construction,
-    and every other pass product when first read, so a consumer pays
-    only for the passes it reads.
+    A view over one :class:`AnalysisContext`: the ``dispatcher`` (and
+    the base CFG it walks) is computed on construction, and every other
+    pass product when first read — the jump-resolved CFG behind
+    :attr:`cfg` too — so a consumer pays only for the passes it reads.
     """
 
     def __init__(self, context: AnalysisContext) -> None:
-        context.pull("jumps", "dispatcher")
+        context.pull("dispatcher")
         self.context = context
         self.bytecode: bytes = context.bytecode
-        self.cfg: ResolvedCFG = context["jumps"]
         self.dispatcher: DispatcherReport = context["dispatcher"]
         self._silent_halts: Optional[FrozenSet[int]] = None
-        self._closed_regions: Optional[Dict[int, FrozenSet[int]]] = None
+
+    @property
+    def cfg(self) -> ResolvedCFG:
+        """The jump-resolved CFG (the ``jumps`` product)."""
+        return self.context["jumps"]
 
     @property
     def stack(self) -> StackReport:
@@ -131,7 +135,7 @@ class ContractAnalysis:
         if self._silent_halts is None:
             silent = set()
             entry_blocks = set(self.dispatcher.entries.values())
-            for start, block in self.cfg.blocks.items():
+            for start, block in self.context["cfg"].blocks.items():
                 if start in entry_blocks:
                     continue
                 terminator = block.terminator
@@ -145,18 +149,6 @@ class ContractAnalysis:
             self._silent_halts = frozenset(silent)
         return self._silent_halts
 
-    @property
-    def closed_regions(self) -> Dict[int, FrozenSet[int]]:
-        """selector -> region, only for regions with no unresolved jumps."""
-        if self._closed_regions is None:
-            closed: Dict[int, FrozenSet[int]] = {}
-            if not self.cfg.incomplete:
-                for selector, region in self.dispatcher.regions.items():
-                    if region_closed(self.cfg, region):
-                        closed[selector] = region
-            self._closed_regions = closed
-        return self._closed_regions
-
     def function_preimage(self, selector: int) -> Optional[bytes]:
         """Memoization preimage for one function, or ``None``.
 
@@ -167,9 +159,12 @@ class ContractAnalysis:
         fully determine the recovered signature.  Open regions return
         ``None`` and are recovered fresh every time.
         """
-        if self.cfg.incomplete or selector not in self.closed_regions:
+        function = self.reach.functions.get(selector)
+        if function is None or not function.complete:
             return None
-        return region_preimage(self.cfg, self.dispatcher, self.bytecode, selector)
+        return region_preimage(
+            self.cfg, self.dispatcher, function, self.bytecode
+        )
 
 
 def analyze(
@@ -179,9 +174,10 @@ def analyze(
 ) -> ContractAnalysis:
     """The static analysis of ``bytecode`` under the default pipeline.
 
-    Runs the passes every consumer reads (cfg, jumps, dispatcher); the
-    rest run when the returned view's product is first read.
-    ``metrics``/``tracer`` flow to the per-pass phase spans.
+    Runs the passes every consumer reads (cfg, dispatcher); the rest,
+    the jump fixpoint included, run when the returned view's product is
+    first read.  ``metrics``/``tracer`` flow to the per-pass phase
+    spans.
     """
     return ContractAnalysis(
         AnalysisContext(bytecode, default_pipeline(), metrics, tracer)
@@ -412,7 +408,7 @@ def build_profile(
                 for selector, entry in sorted(dispatcher.entries.items())
             },
             "dispatcher_blocks": sorted(dispatcher.dispatcher_blocks),
-            "unreachable_blocks": sorted(dispatcher.unreachable),
+            "unreachable_blocks": sorted(analysis.reach.unreachable),
         },
         cfg={
             "blocks": len(cfg.blocks),

@@ -40,11 +40,12 @@ at worst mislabel a mapping's key tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.absint import FOLD, MASK, Machine, walk
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
+from repro.analysis.reachability import function_regions
 
 # Token kinds.
 _CONST = "c"
@@ -217,10 +218,9 @@ def _shr(_facts, _pc: int, a: Tuple, b: Tuple) -> Tuple:
 
 
 def _div(_facts, _pc: int, a: Tuple, b: Tuple) -> Tuple:
-    if a[0] == _SVAL and b[0] == _CONST:
-        shift = b[1].bit_length() - 1
-        if b[1] == 1 << shift:
-            return (_SVAL, a[1], a[2] + shift)
+    """A loaded word divided by a positive power of two is a shift."""
+    if a[0] == _SVAL and b[0] == _CONST and b[1] and not b[1] & (b[1] - 1):
+        return (_SVAL, a[1], a[2] + b[1].bit_length() - 1)
     return _UNKNOWN
 
 
@@ -383,8 +383,9 @@ def recover_storage_layout(
 
     Each distinct (block, stack, scratch memory) state is stepped once,
     at most ``_MAX_VISITS`` times per block.  ``dispatcher`` (when
-    available) attributes each variable to the selectors whose
-    statically reachable region touches it.
+    available) attributes each variable to the selectors whose region —
+    the blocks reachable from the selector's entry over resolved jumps —
+    touches it.
     """
     facts = _Facts()
     blocks = rcfg.blocks
@@ -421,7 +422,12 @@ def recover_storage_layout(
             continue
         by_root.setdefault(root, []).append(access)
 
-    selector_of_pc = _selector_index(rcfg, dispatcher) if dispatcher else {}
+    selector_of_pc = {}
+    if dispatcher is not None:
+        # The reach pass's regions; this pass runs before reach.
+        selector_of_pc = _selector_index(
+            rcfg, function_regions(rcfg, dispatcher)
+        )
 
     variables: List[StorageVariable] = []
     for root in sorted(by_root):
@@ -485,7 +491,7 @@ def recover_storage_layout(
 
 
 def _selector_index(
-    rcfg: ResolvedCFG, dispatcher: DispatcherReport
+    rcfg: ResolvedCFG, regions: Dict[int, FrozenSet[int]]
 ) -> Dict[int, Tuple[int, ...]]:
     """pc -> selectors whose region contains that pc's block."""
     block_of_pc: Dict[int, int] = {}
@@ -493,7 +499,7 @@ def _selector_index(
         for ins in block.instructions:
             block_of_pc[ins.pc] = start
     selectors_of_block: Dict[int, Set[int]] = {}
-    for selector, region in dispatcher.regions.items():
+    for selector, region in regions.items():
         for start in region:
             selectors_of_block.setdefault(start, set()).add(selector)
     return {

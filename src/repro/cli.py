@@ -171,7 +171,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         slowlog = SlowLog(k=args.slowlog_k)
     try:
         tool = SigRec(
-            sharded=args.shard,
             memo=args.memo,
             inference_memo=args.inference_memo,
             metrics=metrics,
@@ -380,6 +379,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     bytecode = _read_hex(args.bytecode)
     analysis = analyze(bytecode)
     cfg = analysis.cfg
+    functions = analysis.reach.functions
     if args.json:
         import json
 
@@ -389,16 +389,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             "functions": [
                 {
                     "selector": f"0x{sel:08x}",
-                    "entry": analysis.dispatcher.entries[sel],
-                    "region_blocks": len(
-                        analysis.dispatcher.regions.get(sel, ())
-                    ),
-                    "region_closed": sel in analysis.closed_regions,
+                    "entry": functions[sel].entry,
+                    "region_blocks": len(functions[sel].blocks),
+                    "region_closed": functions[sel].complete,
                 }
                 for sel in analysis.selectors
             ],
             "dispatcher_blocks": sorted(analysis.dispatcher.dispatcher_blocks),
-            "unreachable_blocks": sorted(analysis.dispatcher.unreachable),
+            "unreachable_blocks": sorted(analysis.reach.unreachable),
             "silent_halt_blocks": sorted(analysis.silent_halt_blocks),
             "findings": [
                 {
@@ -418,12 +416,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"{len(cfg.unresolved_jumps)} unresolved"
     )
     for sel in analysis.selectors:
-        entry = analysis.dispatcher.entries[sel]
-        region = analysis.dispatcher.regions.get(sel, frozenset())
-        closed = "closed" if sel in analysis.closed_regions else "open"
+        function = functions[sel]
+        closed = "closed" if function.complete else "open"
         print(
-            f"  0x{sel:08x} -> {entry:#06x}  "
-            f"({len(region)} reachable blocks, {closed} region)"
+            f"  0x{sel:08x} -> {function.entry:#06x}  "
+            f"({len(function.blocks)} reachable blocks, {closed} region)"
         )
     for finding in analysis.findings:
         print(finding.render())
@@ -431,7 +428,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         annotations = {}
         for start in analysis.dispatcher.dispatcher_blocks:
             annotations[start] = "dispatcher"
-        for start in analysis.dispatcher.unreachable:
+        for start in analysis.reach.unreachable:
             annotations[start] = "unreachable"
         for start in analysis.silent_halt_blocks:
             annotations[start] = "silent halt"
@@ -688,10 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unit-size", type=int, default=None, metavar="K",
         help="selectors per scheduler unit before a contract splits "
         "into several work-stealing units (0 = never split)",
-    )
-    p.add_argument(
-        "--no-shard", dest="shard", action="store_false", default=True,
-        help="force the monolithic TASE walk (disable per-selector shards)",
     )
     p.add_argument(
         "--no-memo", dest="memo", action="store_false", default=True,

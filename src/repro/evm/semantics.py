@@ -148,13 +148,26 @@ class ExecutionResult:
 
 
 class Memory:
-    """Byte-addressed, zero-initialized, lazily grown EVM memory."""
+    """Byte-addressed, zero-initialized, lazily grown EVM memory.
 
-    def __init__(self) -> None:
+    ``frame`` is the call that owns the memory.  Memory of ``w`` words
+    costs ``3 * w + w * w // 512`` gas in the EVM; a growth whose cost
+    exceeds the frame's remaining ``gas`` raises :class:`OutOfGas`
+    instead of allocating.  The cost is checked, never charged, so a
+    call's gas use is the sum of its opcodes' base costs.
+    """
+
+    __slots__ = ("_data", "_frame")
+
+    def __init__(self, frame) -> None:
         self._data = bytearray()
+        self._frame = frame
 
     def _grow(self, size: int) -> None:
         if size > len(self._data):
+            words = (size + 31) // 32
+            if 3 * words + words * words // 512 > self._frame.gas:
+                raise OutOfGas(f"memory expansion to {size} bytes")
             self._data.extend(b"\x00" * (size - len(self._data)))
 
     def load(self, offset: int, length: int = 32) -> bytes:
@@ -805,7 +818,7 @@ class ConcreteDomain(Domain):
         self_balance: int = DEFAULT_SELF_BALANCE,
     ) -> None:
         super().__init__()
-        self.memory = Memory()
+        self.memory = Memory(self)
         self.storage = storage
         self.calldata = calldata
         self._calldata_size = len(calldata)

@@ -41,7 +41,7 @@ from repro.sigrec.selectors import extract_selectors
 _RESULT_MEMO_SIZE = 8
 
 #: How many static analyses one SigRec instance keeps.  ``recover``,
-#: ``explain``, ``profile`` and sharded re-runs all need the same
+#: ``abi``, ``profile`` and sharded re-runs all need the same
 #: per-bytecode analysis; the memo makes it one CFG/dispatcher walk
 #: per bytecode per instance instead of one per call.
 _ANALYSIS_MEMO_SIZE = 16
@@ -88,6 +88,14 @@ class SigRec:
     One instance accumulates rule-usage statistics (:attr:`tracker`)
     across every contract it analyses, which is how the Fig.-19
     frequency study is produced.
+
+    A ``recover`` call runs one monolithic TASE walk from the entry
+    unless per-selector shards can save work (:meth:`_shards`): a
+    selector-group call (``only``/``exclude``) explores only the wanted
+    selectors, and a tool whose function memo can hold bodies the call
+    did not write (a ``memo_dir``, a store a batch worker attached, the
+    one :meth:`recover_batch` holds) can skip memoized bodies.  Both
+    strategies give identical results.
     """
 
     def __init__(
@@ -100,7 +108,6 @@ class SigRec:
         semantic_idioms: bool = True,
         coarse_only: bool = False,
         static_check: bool = True,
-        sharded: bool = True,
         memo: bool = True,
         memo_dir: Optional[str] = None,
         inference_memo: bool = False,
@@ -129,13 +136,10 @@ class SigRec:
         # the static dispatcher analysis after every ``recover`` (see
         # :attr:`last_diagnostics`).
         self.static_check = static_check
-        # ``sharded`` makes the *function* the unit of recovery: when
-        # the static analysis fully resolves the dispatcher, each
-        # selector is explored as an independent shard (own path/step
-        # budgets, early-exitable) and the monolithic walk only backstops
-        # contracts the dispatcher analysis cannot close.  ``memo``
-        # additionally keys each shard's inferred signature by its code
-        # region so clone-heavy corpora recover each shared body once.
+        # ``memo`` keys each shard's inferred signature by its code
+        # region so clone-heavy corpora recover each shared body once
+        # (a shard is one selector explored on its own; see
+        # :meth:`_shards` for when a call shards).
         # ``inference_memo`` opts into the third caching tier: inference
         # products keyed by the canonical event-stream digest
         # (:func:`repro.sigrec.events.events_digest`), so clones whose
@@ -148,7 +152,6 @@ class SigRec:
         # ``memo_dir`` adds the persistent on-disk tier of both memos
         # (it is wiring, like ``metrics``, and not part of
         # :meth:`options`).
-        self.sharded = sharded
         self.memo = memo
         self.inference_memo = inference_memo
         self.memo_dir = memo_dir
@@ -199,7 +202,6 @@ class SigRec:
         opts = dict(self._engine_opts)
         opts["coarse_only"] = self.coarse_only
         opts["static_check"] = self.static_check
-        opts["sharded"] = self.sharded
         opts["memo"] = self.memo
         opts["inference_memo"] = self.inference_memo
         return opts
@@ -235,9 +237,9 @@ class SigRec:
         Every pass is pure in the bytecode, so one instance keeps one
         analysis context per bytecode and every consumer — ``recover``'s
         shard planner, the cross-check, ``abi``, ``profile`` — shares
-        it.  A miss runs only cfg/jumps/dispatcher; the passes ``abi``
-        and ``profile`` read run on their first read, each at most once
-        per bytecode.  Every pass run records its span under a
+        it.  A miss runs only cfg/dispatcher; the passes sharding,
+        ``abi`` and ``profile`` read run on their first read, each at
+        most once per bytecode.  Every pass run records its span under a
         ``static_analysis`` phase span.
         """
         digest = hashlib.sha256(bytecode).digest()
@@ -277,7 +279,8 @@ class SigRec:
         scheduler uses them to split one contract into independent
         (contract, selector-group) work units.  With the default
         ``None``/empty values the behavior is the historical whole-
-        contract recovery.
+        contract recovery.  :attr:`last_strategy` records whether the
+        call sharded.
         """
         publish = self.metrics is not NULL_REGISTRY
         fired_before = dict(self.tracker.counts) if publish else {}
@@ -295,10 +298,11 @@ class SigRec:
         with phase_span(
             self.metrics, self.tracer, "recover", bytes=len(bytecode)
         ):
+            sharding = self._shards(partial)
             analysis: Optional[ContractAnalysis] = None
-            if self.static_check or self.sharded:
+            if self.static_check or sharding:
                 analysis = self._analyze(bytecode)
-            plan = self._shard_plan(analysis)
+            plan = self._shard_plan(analysis) if sharding else None
             memo_hits: Dict[int, object] = {}
             memo_keys: Dict[int, str] = {}
             if plan is not None:
@@ -399,7 +403,26 @@ class SigRec:
                 record["hotspots"] = [list(pair) for pair in hotspots]
         return record
 
-    def _shard_plan(self, analysis: Optional[ContractAnalysis]):
+    def _shards(self, partial: bool) -> bool:
+        """Whether this call may run per-selector shards.
+
+        Shards cost more than one walk — the plan needs the jump
+        fixpoint, each shard re-walks the dispatcher spine and writes a
+        memo record — and pay only where they save work: a ``partial``
+        (selector-group) call explores just its wanted selectors, and a
+        function memo that can hold bodies this call did not write — an
+        on-disk ``memo_dir``, or a store this tool already holds (one a
+        batch worker attached, one :meth:`recover_batch` holds, or one an
+        earlier sharded call filled) — can skip whole functions.  Every other call runs one monolithic
+        walk and writes no memo records.
+        """
+        from repro.sigrec.cache import FunctionMemo
+
+        return partial or self.memo and (
+            self.memo_dir is not None or FunctionMemo in self._stores
+        )
+
+    def _shard_plan(self, analysis: ContractAnalysis):
         """The sorted selector list to shard on, or None → monolithic.
 
         Sharding requires a *trustworthy* dispatcher map: the jump
@@ -407,8 +430,6 @@ class SigRec:
         at least one entry.  Anything less falls back to the monolithic
         walk, which needs no static help.
         """
-        if not self.sharded or analysis is None:
-            return None
         if analysis.cfg.incomplete:
             return None
         if not analysis.dispatcher.entries:
@@ -713,7 +734,9 @@ class SigRec:
         produce the same signatures and merged rule counts as the
         default serial in-process path.  Every returned entry is an
         independent list — mutating one result never corrupts the result
-        of a duplicated bytecode elsewhere in the batch.
+        of a duplicated bytecode elsewhere in the batch.  The serial path
+        holds this tool's function memo, so its calls shard and a body
+        shared by several bytecodes is recovered once.
         """
         if workers or cache_dir is not None:
             from repro.sigrec.batch import DEFAULT_UNIT_SIZE, BatchRecovery
@@ -727,6 +750,7 @@ class SigRec:
                 ),
             )
             return runner.recover_all(bytecodes, deduplicate=deduplicate)
+        self.function_memo()
         if not deduplicate:
             return [self.recover(code) for code in bytecodes]
         memo: Dict[bytes, List[RecoveredSignature]] = {}

@@ -101,7 +101,7 @@ class ReplayDomain(SymbolicDomain):
         self_balance: int,
     ) -> None:
         super().__init__(engine, TASEResult(functions={}, selectors=[]), [])
-        self.memory = Memory()
+        self.memory = Memory(self)
         self.calldata = calldata
         self._calldata_size = len(calldata)
         self.storage = storage

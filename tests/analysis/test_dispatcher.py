@@ -33,7 +33,7 @@ def test_entries_are_valid_jumpdests():
     analysis = analyze(contract.bytecode)
     for selector, entry in analysis.dispatcher.entries.items():
         assert entry in analysis.cfg.valid_jumpdests
-        assert entry in analysis.dispatcher.regions[selector]
+        assert entry in analysis.reach.regions[selector]
 
 
 def test_binary_search_dispatcher():
@@ -79,7 +79,7 @@ def test_unreachable_code_detected():
     a.op("STOP")
     a.label("dead").op("JUMPDEST").op("STOP")  # nothing jumps here
     analysis = analyze(a.assemble())
-    assert analysis.dispatcher.unreachable == frozenset({1})
+    assert analysis.reach.unreachable == frozenset({1})
 
 
 def test_function_bodies_not_walked():

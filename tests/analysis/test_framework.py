@@ -121,13 +121,13 @@ def _pass_runs(metrics):
 
 
 def test_entry_points_pull_only_the_passes_they_read():
-    """recover runs cfg/jumps/dispatcher; abi adds the ABI passes;
+    """recover runs cfg/dispatcher; abi adds the ABI passes;
     profile adds the rest — and the shared context never reruns one."""
     metrics = MetricsRegistry()
     tool = SigRec(metrics=metrics)
     code = _code("f(uint8,bytes)")
     signatures = tool.recover(code)
-    assert _pass_runs(metrics) == {"cfg": 1, "jumps": 1, "dispatcher": 1}
+    assert _pass_runs(metrics) == {"cfg": 1, "dispatcher": 1}
     tool.abi(code, signatures)
     assert _pass_runs(metrics) == {
         "cfg": 1, "jumps": 1, "dispatcher": 1,

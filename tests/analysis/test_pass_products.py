@@ -65,8 +65,8 @@ def _products(code):
         dispatcher.selectors,
         sorted(dispatcher.entries.items()),
         sorted(dispatcher.dispatcher_blocks),
-        _sorted_sets(dispatcher.regions),
-        sorted(dispatcher.unreachable),
+        _sorted_sets(reach.regions),
+        sorted(reach.unreachable),
         dispatcher.findings,
         sorted(stack.entry_heights.items()),
         stack.findings,

@@ -9,6 +9,7 @@ from repro.compiler.storage import StorageVariableSpec, storage_ground_truth
 from repro.corpus.datasets import build_storage_corpus
 from repro.evm.asm import Assembler
 from repro.evm.cfg import build_cfg
+from repro.sigrec.api import SigRec
 
 
 def _layout(asm: Assembler):
@@ -57,6 +58,16 @@ def test_div_by_power_of_two_packed_read():
     asm.push((1 << 64) - 1, width=8).op("AND").op("POP").op("STOP")
     variable = _one(_layout(asm), 5, offset=20)
     assert (variable.width, variable.type) == (8, "uint64")
+
+
+def test_div_of_a_loaded_word_by_zero_is_no_shift():
+    # PUSH1 0 PUSH1 0 SLOAD DIV STOP: only a positive power of two is a
+    # shift (a divisor of 0 used to raise on ``1 << -1``).
+    code = bytes.fromhex("60006000540400")
+    variable = _one(recover_storage_layout(resolve_jumps(build_cfg(code))), 0)
+    assert (variable.width, variable.type, variable.reads) == (32, "uint256", 1)
+    profile = SigRec().profile(code)
+    assert profile.storage["variables"][0]["type"] == "uint256"
 
 
 def test_signextend_marks_signed():

@@ -175,6 +175,21 @@ def test_step_limit():
     assert result.error == "OutOfGas"
 
 
+def test_memory_growth_past_the_gas_is_out_of_gas():
+    # COINBASE MLOAD: a load at offset ~5.4e16 would need that many bytes.
+    result = Interpreter(b"AQ").call(b"\x01\x02\x03\x04")
+    assert result.success is False
+    assert result.error == "OutOfGas"
+
+
+def test_memory_growth_within_the_gas_is_not_charged():
+    # 64 KiB of memory costs 6,144 + 8,192 gas, far below the default
+    # budget; only the base costs of PUSH1, PUSH3 and MSTORE are charged.
+    result = run([("PUSH1", 1), ("PUSH3", 0xFFE0), "MSTORE", "STOP"])
+    assert result.success
+    assert result.gas_used == 3 + 3 + 3
+
+
 def test_call_stubs_push_success():
     result = run(
         ["GAS", ("PUSH1", 0), ("PUSH1", 0), ("PUSH1", 0), ("PUSH1", 0),

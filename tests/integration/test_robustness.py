@@ -7,7 +7,7 @@ degrade gracefully (empty or partial results), never raise.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.erays import Erays, EraysPlus
@@ -28,6 +28,7 @@ def test_sigrec_never_crashes_on_garbage(data):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.binary(min_size=0, max_size=400))
+@example(b"AQ")  # COINBASE MLOAD: a load at offset ~5.4e16
 def test_interpreter_never_crashes_on_garbage(data):
     result = Interpreter(data, max_steps=5_000).call(b"\x01\x02\x03\x04")
     assert result.success in (True, False)

@@ -164,7 +164,7 @@ def test_recover_appends_one_record_per_call():
     assert record["partial"] is False
     assert record["bytes"] == len(code)
     assert len(record["code_sha256"]) == 64
-    assert record["memo"] == {"hits": 0, "misses": 2}
+    assert record["memo"] == {"hits": 0, "misses": 0}
     assert record["tase"]["steps"] > 0
     assert record["elapsed_seconds"] > 0
     # Phase attribution covers the whole pipeline.
@@ -182,9 +182,9 @@ def test_ledger_does_not_perturb_options_fingerprint():
     assert SigRec(ledger=RunLedger()).options() == SigRec().options()
 
 
-def test_second_recover_hits_the_memo_tier():
+def test_second_recover_hits_the_memo_tier(tmp_path):
     ledger = RunLedger()
-    tool = SigRec(ledger=ledger)
+    tool = SigRec(ledger=ledger, memo_dir=str(tmp_path))
     code = _bytecode("transfer(address,uint256)")
     tool.recover(code)
     tool.recover(code)

@@ -61,3 +61,43 @@ def test_options_round_trip_includes_analysis_flags():
     assert options["static_check"] is False
     clone = SigRec(**options)
     assert not clone.static_check
+
+
+#: The only diagnostics a fresh tool reports on the 100 byte-mutated
+#: contracts of the pass-product pins: index -> the selectors the static
+#: dispatcher walk sees but TASE never explores.
+_MISSED_BY_TASE = {
+    26: (0x4D7DE710, 0x8A6226AD, 0xA72C5044, 0xB2AD4FD6),
+    34: (0xA50934A0,),
+    94: (0x0395BE6A, 0x428D22C7, 0xE76D3C70),
+}
+
+
+def _mutated_diagnostics(make_tool):
+    from tests.analysis.test_pass_products import _mutated
+
+    found = {}
+    for index, code in enumerate(_mutated()):
+        tool = make_tool()
+        tool.recover(code)
+        if tool.last_diagnostics:
+            found[index] = [(d.kind, d.selectors) for d in tool.last_diagnostics]
+    return found
+
+
+def test_cross_check_pins_on_mutated_contracts():
+    expected = {
+        index: [("selector-missed-by-tase", selectors)]
+        for index, selectors in _MISSED_BY_TASE.items()
+    }
+    assert _mutated_diagnostics(SigRec) == expected
+
+
+def test_cross_check_pins_hold_when_sharded(tmp_path):
+    expected = {
+        index: [("selector-missed-by-tase", selectors)]
+        for index, selectors in _MISSED_BY_TASE.items()
+    }
+    assert _mutated_diagnostics(
+        lambda: SigRec(memo_dir=str(tmp_path))
+    ) == expected

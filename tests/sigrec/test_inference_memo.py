@@ -194,14 +194,12 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
 def test_monolithic_path_also_replays(tmp_path):
     code = _code("transfer(address,uint256)")
     cold = SigRec(
-        sharded=False, memo=False, inference_memo=True,
-        memo_dir=str(tmp_path),
+        memo=False, inference_memo=True, memo_dir=str(tmp_path),
     )
     expected = [_key(s) for s in cold.recover(code)]
 
     warm = SigRec(
-        sharded=False, memo=False, inference_memo=True,
-        memo_dir=str(tmp_path),
+        memo=False, inference_memo=True, memo_dir=str(tmp_path),
     )
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "inference-memo"

@@ -58,7 +58,7 @@ def test_recover_emits_phase_spans_and_rule_counters():
 
 
 def test_passes_pulled_after_recover_nest_under_static_analysis():
-    """recover() pulls exactly cfg, jumps and dispatcher — none when it
+    """recover() pulls exactly cfg and dispatcher — none when it
     neither shards nor cross-checks; profile() runs storage long after
     recover(), and its span must still sit inside a static_analysis
     phase span, one of the top-level phases ``repro report`` attributes
@@ -66,10 +66,10 @@ def test_passes_pulled_after_recover_nest_under_static_analysis():
     from repro.obs.report import _TOP_PHASES
 
     code = _bytecode("a(uint8)", "b(bool)")
-    core = {"analysis.cfg", "analysis.jumps", "analysis.dispatcher"}
+    core = {"analysis.cfg", "analysis.dispatcher"}
     for options, pulled in (
-        ({"static_check": False}, core),
-        ({"sharded": False, "static_check": False}, set()),
+        ({}, core),
+        ({"static_check": False}, set()),
     ):
         tracer = SpanTracer()
         SigRec(tracer=tracer, **options).recover(code)

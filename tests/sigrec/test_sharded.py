@@ -48,10 +48,13 @@ def _key(sig):
 
 
 def _assert_equivalent(bytecode):
-    mono = SigRec(sharded=False, memo=False)
-    shard = SigRec(sharded=True, memo=True)
+    mono = SigRec(memo=False)
+    # A memo-backed tool shards (the batch-worker pattern).
+    shard = SigRec()
+    shard.attach_store(FunctionMemo(shard.options()))
     expected = [_key(s) for s in mono.recover(bytecode)]
     actual = [_key(s) for s in shard.recover(bytecode)]
+    assert mono.last_strategy == "monolithic"
     assert actual == expected
     assert shard.tracker.as_dict() == mono.tracker.as_dict()
     assert shard.tracker.conflicts == mono.tracker.conflicts
@@ -101,10 +104,6 @@ def test_monolithic_fallback_when_no_dispatcher():
     assert tool.recover(asm.assemble()) == []
     assert tool.last_strategy == "monolithic"
 
-    forced = SigRec(sharded=False)
-    forced.recover(compile_contract(SIGS).bytecode)
-    assert forced.last_strategy == "monolithic"
-
 
 def test_engine_shards_union_to_the_monolithic_result():
     """Engine-level: per-selector shards + residual == one global walk."""
@@ -149,7 +148,7 @@ def test_memo_reuse_on_clone_corpus_is_proven_by_counters():
 
     expected = []
     for code in codes:
-        baseline = SigRec(sharded=False, memo=False)
+        baseline = SigRec(memo=False)
         expected.append([_key(s) for s in baseline.recover(code)])
 
     registry = MetricsRegistry()

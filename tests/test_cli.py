@@ -183,9 +183,8 @@ def test_batch_scheduler_flags(token_hex, tmp_path, capsys):
     assert expected in captured.out
     assert "2 units (1 contracts split)" in captured.err
 
-    # The kill switches fall back to the monolithic engine, same output.
-    assert main(["batch", str(path), "--workers", "0",
-                 "--no-shard", "--no-memo"]) == 0
+    # The kill switch falls back to the monolithic engine, same output.
+    assert main(["batch", str(path), "--workers", "0", "--no-memo"]) == 0
     assert expected in capsys.readouterr().out
 
     # The inference memo is off by default: identical output, no
