@@ -31,14 +31,14 @@ The default pipeline (:data:`DEFAULT_PIPELINE`) is::
 
     cfg ─┬─► jumps ──► stack ─────────────────────────┐
          └─► dispatcher                               │
-    jumps + dispatcher ─┬─► storage ──────────────────┤
-                        └─► reach ─┬─► mutability     ├─► lint
-                                   ├─► returns        │
-                                   └──────────────────┘
+    jumps + dispatcher ──► reach ─┬─► storage ────────┤
+                                  ├─► mutability      ├─► lint
+                                  ├─► returns         │
+                                  └───────────────────┘
 
 The dispatcher walk follows its own spine jumps, so it needs only the
 CFG; per-selector regions and dead code need the jump fixpoint and
-belong to ``reach``.
+belong to ``reach``, which storage attribution reads too.
 
 Adding a pass is three steps: write ``run(ctx)`` reading its inputs via
 ``ctx["name"]``, wrap it in an :class:`AnalysisPass` with a version and
@@ -217,7 +217,7 @@ def _run_dispatcher(ctx: AnalysisContext):
 def _run_storage(ctx: AnalysisContext):
     from repro.analysis.storage import recover_storage_layout
 
-    return recover_storage_layout(ctx["jumps"], ctx["dispatcher"])
+    return recover_storage_layout(ctx["jumps"], ctx["reach"])
 
 
 def _run_reach(ctx: AnalysisContext):
@@ -254,11 +254,9 @@ DEFAULT_PIPELINE = AnalysisPipeline((
     AnalysisPass("stack", 1, _run_stack, requires=("jumps",)),
     AnalysisPass("dispatcher", 1, _run_dispatcher, requires=("cfg",)),
     AnalysisPass(
-        "storage", 1, _run_storage, requires=("jumps", "dispatcher")
-    ),
-    AnalysisPass(
         "reach", 1, _run_reach, requires=("jumps", "dispatcher")
     ),
+    AnalysisPass("storage", 1, _run_storage, requires=("jumps", "reach")),
     AnalysisPass(
         "mutability", 1, _run_mutability,
         requires=("jumps", "dispatcher", "reach"),

@@ -8,8 +8,8 @@ block), a region is naturally **interprocedural**: the blocks of every
 internal function a body can call are part of it.
 
 This pass turns regions into an explicit reachability product that the
-mutability, returns and lint passes, the function-memo preimage and
-the profile consume:
+storage, mutability, returns and lint passes, the function-memo
+preimage and the profile consume:
 
 * ``blocks`` — the region's block starts;
 * ``ops`` — the set of opcode names appearing anywhere in the region
@@ -95,22 +95,13 @@ def region_closed(rcfg: ResolvedCFG, region: FrozenSet[int]) -> bool:
     return True
 
 
-def function_regions(
-    rcfg: ResolvedCFG, dispatcher: DispatcherReport
-) -> Dict[int, FrozenSet[int]]:
-    """selector -> the blocks reachable from its entry over resolved jumps."""
-    return {
-        selector: rcfg.reachable_from(entry)
-        for selector, entry in dispatcher.entries.items()
-    }
-
-
 def compute_reachability(
     rcfg: ResolvedCFG, dispatcher: DispatcherReport
 ) -> ReachabilityReport:
     """Per-selector regions over the resolved jumps, with their facts."""
     functions: Dict[int, ReachableFunction] = {}
-    for selector, region in function_regions(rcfg, dispatcher).items():
+    for selector, entry in dispatcher.entries.items():
+        region = rcfg.reachable_from(entry)
         complete = not rcfg.incomplete and region_closed(rcfg, region)
         ops = set()
         for start in region:
@@ -121,7 +112,7 @@ def compute_reachability(
                 ops.add(ins.op.name)
         functions[selector] = ReachableFunction(
             selector=selector,
-            entry=dispatcher.entries[selector],
+            entry=entry,
             blocks=region,
             ops=frozenset(ops),
             complete=complete,

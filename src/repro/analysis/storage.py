@@ -44,8 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.absint import FOLD, MASK, Machine, walk
 from repro.analysis.dataflow import ResolvedCFG
-from repro.analysis.dispatcher import DispatcherReport
-from repro.analysis.reachability import function_regions
+from repro.analysis.reachability import ReachabilityReport
 
 # Token kinds.
 _CONST = "c"
@@ -377,15 +376,14 @@ def _mapping_type(keytags: Tuple[str, ...]) -> str:
 
 
 def recover_storage_layout(
-    rcfg: ResolvedCFG, dispatcher: Optional[DispatcherReport] = None
+    rcfg: ResolvedCFG, reach: Optional[ReachabilityReport] = None
 ) -> StorageLayout:
     """Recover the storage layout from a resolved CFG.
 
     Each distinct (block, stack, scratch memory) state is stepped once,
-    at most ``_MAX_VISITS`` times per block.  ``dispatcher`` (when
-    available) attributes each variable to the selectors whose region —
-    the blocks reachable from the selector's entry over resolved jumps —
-    touches it.
+    at most ``_MAX_VISITS`` times per block.  ``reach`` (when available)
+    attributes each variable to the selectors whose region — the blocks
+    reachable from the selector's entry over resolved jumps — touches it.
     """
     facts = _Facts()
     blocks = rcfg.blocks
@@ -422,12 +420,9 @@ def recover_storage_layout(
             continue
         by_root.setdefault(root, []).append(access)
 
-    selector_of_pc = {}
-    if dispatcher is not None:
-        # The reach pass's regions; this pass runs before reach.
-        selector_of_pc = _selector_index(
-            rcfg, function_regions(rcfg, dispatcher)
-        )
+    selector_of_pc = (
+        _selector_index(rcfg, reach.regions) if reach is not None else {}
+    )
 
     variables: List[StorageVariable] = []
     for root in sorted(by_root):

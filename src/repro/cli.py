@@ -5,14 +5,15 @@ Commands
 
 recover   Recover function signatures from runtime bytecode (hex).
 batch     Recover many contracts (parallel workers + persistent cache);
-          ``--metrics-out``/``--trace-out`` capture telemetry,
-          ``--ledger-out``/``--slowlog-out``/``--profile-hotspots`` the
-          deep-observability payloads, and ``--serve-metrics PORT``
+          ``--metrics-out`` writes the metrics document, ``--ledger-out``
+          one run-ledger record per recovery, ``--profile-hotspots``
+          the hot-loop attribution, and ``--serve-metrics PORT``
           exposes live ``/metrics`` + ``/healthz`` + ``/ledger/summary``
           while the batch runs.
-report    One document over every telemetry source: phase-time
-          attribution, engine work, rules, tier hit rates, hotspots,
-          slowest contracts and exemplars (``--json`` for machines,
+report    One document over a metrics document and a run ledger:
+          phase-time attribution, engine work, rules, tier hit rates,
+          hotspots and the slowest recoveries with their per-phase
+          seconds and diagnostics (``--json`` for machines,
           ``--prometheus`` for the metrics text exposition).
 serve-metrics
           Standalone telemetry endpoint over saved ``--metrics-out`` /
@@ -144,17 +145,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     ):
         raise SystemExit(f"error: --cache-dir {args.cache_dir} is not a directory")
     bytecodes = _read_batch_source(args.source)
-    metrics = tracer = trace_file = ledger = profiler = slowlog = None
-    server = None
+    metrics = ledger = profiler = server = None
     if args.metrics_out or args.serve_metrics is not None:
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    if args.trace_out:
-        from repro.obs import SpanTracer
-
-        trace_file = open(args.trace_out, "w", encoding="utf-8")
-        tracer = SpanTracer(trace_file)
     if args.ledger_out or args.serve_metrics is not None:
         from repro.obs import RunLedger
 
@@ -165,16 +160,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         from repro.obs import HotLoopProfiler
 
         profiler = HotLoopProfiler(mode=args.profile_hotspots)
-    if args.slowlog_out:
-        from repro.obs import SlowLog
-
-        slowlog = SlowLog(k=args.slowlog_k)
     try:
         tool = SigRec(
             memo=args.memo,
             inference_memo=args.inference_memo,
             metrics=metrics,
-            tracer=tracer,
             ledger=ledger,
             profiler=profiler,
         )
@@ -187,7 +177,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 if args.unit_size is not None
                 else DEFAULT_UNIT_SIZE
             ),
-            slowlog=slowlog,
         )
         if args.serve_metrics is not None:
             from repro.obs.httpexp import TelemetryServer
@@ -214,9 +203,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.stop()
-        if tracer is not None:
-            tracer.close()
-            trace_file.close()
     if profiles is not None:
         for index, profile in enumerate(profiles):
             signatures = " ".join(
@@ -257,9 +243,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"ledger: {args.ledger_out} ({ledger.written} records)",
             file=sys.stderr,
         )
-    if args.slowlog_out:
-        slowlog.dump(args.slowlog_out)
-        print(f"slowlog: {args.slowlog_out}", file=sys.stderr)
     if profiler is not None:
         sys.stderr.write(profiler.render_table())
     if args.time:
@@ -295,19 +278,13 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """One document over every telemetry source this run produced."""
+    """One document over a run's metrics document and run ledger."""
     import json
 
-    from repro.obs import (
-        SlowLog,
-        load_metrics,
-        read_ledger,
-        read_trace,
-        render_prometheus,
-    )
+    from repro.obs import load_metrics, read_ledger, render_prometheus
     from repro.obs.report import build_report, render_report
 
-    metrics_doc = ledger_records = slowlog = trace_records = None
+    metrics_doc = ledger_records = None
     if args.metrics:
         metrics_doc = load_metrics(args.metrics)
         if metrics_doc is None:
@@ -319,27 +296,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise SystemExit("error: --prometheus needs --metrics")
         sys.stdout.write(render_prometheus(metrics_doc))
         return 0
-    if args.trace:
-        trace_records = read_trace(args.trace)
     if args.ledger:
         ledger_records = read_ledger(args.ledger)
-    if args.slowlog:
-        try:
-            slowlog = SlowLog.load(args.slowlog)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot read {args.slowlog}: {exc}")
-    if metrics_doc is None and ledger_records is None and slowlog is None \
-            and trace_records is None:
+    if metrics_doc is None and ledger_records is None:
         raise SystemExit(
-            "error: nothing to report — give --metrics, --trace, --ledger "
-            "and/or --slowlog"
+            "error: nothing to report — give --metrics and/or --ledger"
         )
     report = build_report(
-        metrics_doc=metrics_doc,
-        ledger_records=ledger_records,
-        slowlog=slowlog,
-        trace_records=trace_records,
-        top=args.top,
+        metrics_doc=metrics_doc, ledger_records=ledger_records, top=args.top
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -678,10 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write (merge-accumulate) the metrics JSON document to FILE",
     )
     p.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write structured span/event records to FILE (JSONL)",
-    )
-    p.add_argument(
         "--unit-size", type=int, default=None, metavar="K",
         help="selectors per scheduler unit before a contract splits "
         "into several work-stealing units (0 = never split)",
@@ -706,14 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append one run-ledger JSONL record per recovery to FILE",
     )
     p.add_argument(
-        "--slowlog-out", default=None, metavar="FILE",
-        help="write the K slowest units (span trees + diagnostics) to FILE",
-    )
-    p.add_argument(
-        "--slowlog-k", type=int, default=10, metavar="K",
-        help="how many slow exemplars --slowlog-out keeps (default 10)",
-    )
-    p.add_argument(
         "--profile-hotspots", choices=["count", "sample"], default=None,
         help="attribute TASE steps to superblock entry pcs "
         "(count = exact, sample = cheap every-Nth-step)",
@@ -733,17 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "report",
         help="phase attribution, engine work, rules, tier hit rates, "
-        "hotspots and slowest contracts in one document",
+        "hotspots and slowest recoveries in one document",
     )
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="metrics JSON written by batch --metrics-out")
     p.add_argument("--ledger", default=None, metavar="FILE",
                    help="run-ledger JSONL written by batch --ledger-out")
-    p.add_argument("--slowlog", default=None, metavar="FILE",
-                   help="slow-exemplar JSON written by batch --slowlog-out")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="JSONL trace from batch --trace-out (adds slowest "
-                   "contracts)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report document")
     p.add_argument("--top", type=int, default=10,

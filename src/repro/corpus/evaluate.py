@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.corpus.datasets import Corpus
-from repro.obs import NULL_REGISTRY, NULL_TRACER
+from repro.obs import NULL_REGISTRY
 from repro.sigrec.api import SigRec
 
 
@@ -167,15 +167,15 @@ def evaluate_corpus(
     corpus is timed at once, so per-function ``elapsed_seconds`` is the
     batch average rather than a per-contract measurement.
 
-    When the tool carries observability backends (``SigRec(metrics=...,
-    tracer=...)``), every contract additionally produces an
-    ``eval.{contracts,functions,correct}`` counter update and one
-    ``contract_eval`` trace event recording its outcome.
+    When the tool carries a metrics registry (``SigRec(metrics=...)``),
+    every contract additionally updates the
+    ``eval.{contracts,functions,correct}`` counters (and, serially, the
+    ``eval.contract_seconds`` histogram).
     """
     tool = tool or SigRec()
     report = EvalReport()
-    metrics, tracer = tool.metrics, tool.tracer
-    observing = metrics is not NULL_REGISTRY or tracer is not NULL_TRACER
+    metrics = tool.metrics
+    observing = metrics is not NULL_REGISTRY
     if workers or cache_dir is not None:
         from repro.sigrec.batch import BatchRecovery
 
@@ -186,19 +186,15 @@ def evaluate_corpus(
             1, sum(len(case.declared) for case in corpus.cases)
         )
         per_function = runner.stats.elapsed_seconds / total_functions
-        for index, (case, recovered_list) in enumerate(
-            zip(corpus.cases, batch_results)
-        ):
+        for case, recovered_list in zip(corpus.cases, batch_results):
             recovered = {sig.selector: sig for sig in recovered_list}
             functions, correct = _append_case_outcomes(
                 report, case, recovered, per_function
             )
             if observing:
-                _record_case(
-                    metrics, tracer, index, functions, correct, elapsed=None
-                )
+                _record_case(metrics, functions, correct, elapsed=None)
         return report
-    for index, case in enumerate(corpus.cases):
+    for case in corpus.cases:
         start = time.perf_counter()
         recovered = tool.recover_map(case.contract.bytecode)
         contract_elapsed = time.perf_counter() - start
@@ -207,25 +203,19 @@ def evaluate_corpus(
             report, case, recovered, contract_elapsed / n_functions
         )
         if observing:
-            _record_case(
-                metrics, tracer, index, functions, correct, contract_elapsed
-            )
+            _record_case(metrics, functions, correct, contract_elapsed)
     return report
 
 
 def _record_case(
-    metrics, tracer, index: int, functions: int, correct: int,
-    elapsed: Optional[float],
+    metrics, functions: int, correct: int, elapsed: Optional[float]
 ) -> None:
-    """One contract's evaluation outcome, as counters and a trace event."""
+    """One contract's evaluation outcome, as counters."""
     metrics.counter("eval.contracts").inc()
     metrics.counter("eval.functions").inc(functions)
     metrics.counter("eval.correct").inc(correct)
-    attrs = {"index": index, "functions": functions, "correct": correct}
     if elapsed is not None:
         metrics.histogram("eval.contract_seconds").observe(elapsed)
-        attrs["elapsed"] = elapsed
-    tracer.event("contract_eval", **attrs)
 
 
 def _append_case_outcomes(

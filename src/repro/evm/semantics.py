@@ -171,10 +171,16 @@ class Memory:
             self._data.extend(b"\x00" * (size - len(self._data)))
 
     def load(self, offset: int, length: int = 32) -> bytes:
+        # An empty range touches no memory: the EVM charges no
+        # expansion for it, whatever the offset.
+        if not length:
+            return b""
         self._grow(offset + length)
         return bytes(self._data[offset : offset + length])
 
     def store(self, offset: int, data: bytes) -> None:
+        if not data:
+            return
         self._grow(offset + len(data))
         self._data[offset : offset + len(data)] = data
 

@@ -1,20 +1,21 @@
 """``repro.obs`` — the observability core of the recovery pipeline.
 
-Three pieces, all process-local and dependency-free:
+All pieces are process-local and dependency-free:
 
-* :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
-  histograms in a mergeable :class:`MetricsRegistry`, with
-  :data:`NULL_REGISTRY` as the no-op disabled backend;
+* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms in a
+  mergeable :class:`MetricsRegistry`, with :data:`NULL_REGISTRY` as the
+  no-op disabled backend;
 * :mod:`repro.obs.trace` — a :class:`SpanTracer` emitting structured
-  JSONL span/event records (:data:`NULL_TRACER` when disabled);
+  JSONL span/event records (:data:`NULL_TRACER` when disabled), the
+  library's phase-span sink for ``SigRec(tracer=...)``;
 * :mod:`repro.obs.prom` — the Prometheus text exposition of a document;
-* :mod:`repro.obs.ledger` — the append-only per-recovery run ledger;
+* :mod:`repro.obs.ledger` — the append-only run ledger, one record per
+  recovery (the only per-recovery record, batch units included);
 * :mod:`repro.obs.profiler` — superblock hot-loop step attribution;
-* :mod:`repro.obs.slowlog` — the K slowest batch units with evidence;
 * :mod:`repro.obs.httpexp` / :mod:`repro.obs.report` — the live
-  ``/metrics`` endpoint and the ``repro report`` document, the one
-  human rendering of a metrics document (imported lazily; not
-  re-exported here to keep this package import cheap).
+  ``/metrics`` endpoint and the ``repro report`` document, built from a
+  metrics document and a ledger (imported lazily; not re-exported here
+  to keep this package import cheap).
 
 :func:`phase_span` is the one-liner instrumented code uses at phase
 boundaries: it opens a tracer span and, on exit, observes the duration
@@ -37,7 +38,6 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     METRICS_SCHEMA_VERSION,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -49,7 +49,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import HotLoopProfiler
 from repro.obs.prom import render_prometheus, validate_exposition
-from repro.obs.slowlog import SlowLog
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -62,7 +61,6 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "Counter",
-    "Gauge",
     "Histogram",
     "HotLoopProfiler",
     "MetricsRegistry",
@@ -71,7 +69,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "RunLedger",
-    "SlowLog",
     "SpanTracer",
     "dump_metrics",
     "load_metrics",

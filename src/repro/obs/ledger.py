@@ -8,7 +8,9 @@ seconds (deltas of the ``phase.seconds`` histograms, so the ledger's
 sums reconcile exactly with the registry), the cache/memo tier outcome,
 TASE step/fork/truncation tallies, and diagnostics — and
 :class:`~repro.sigrec.batch.BatchRecovery` merges worker records
-additively, the same pattern as the metrics documents.
+additively, the same pattern as the metrics documents, tagging each
+with its batch ``job`` and ``unit``.  It is the only per-recovery
+record: ``repro report`` ranks its slowest recoveries from it.
 
 Two storage modes:
 
@@ -20,9 +22,11 @@ Two storage modes:
   ``backups``), so an always-on service never grows one file without
   bound.
 
-The query helpers (:func:`filter_records`, :func:`top_by_phase`,
-:func:`summarize`) operate on plain record lists so they work equally
-on a live in-memory ledger and on :func:`read_ledger` output.
+The query helpers (:func:`top_by_elapsed`, :func:`summarize`) operate
+on plain record lists so they work equally on a live in-memory ledger
+and on :func:`read_ledger` output.  ``repro report`` can rank only the
+records a file ledger still holds: with the default rotation (16 MiB,
+3 backups) that is the newest ~86,000 records at ~780 bytes each.
 """
 
 from __future__ import annotations
@@ -35,14 +39,12 @@ from typing import Dict, Iterable, List, Mapping, Optional
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "RunLedger",
-    "filter_records",
     "ledger_paths",
     "phase_delta",
     "phase_snapshot",
     "read_ledger",
     "summarize",
     "top_by_elapsed",
-    "top_by_phase",
 ]
 
 #: Version of the ledger record layout.
@@ -218,39 +220,6 @@ def _is_truncated(record: Mapping) -> bool:
     if not isinstance(tase, Mapping):
         return False
     return bool(tase.get("truncated_paths") or tase.get("truncated_steps"))
-
-
-def filter_records(
-    records: Iterable[Mapping],
-    strategy: Optional[str] = None,
-    tier: Optional[str] = None,
-    truncated: Optional[bool] = None,
-) -> List[Mapping]:
-    """Records matching every given criterion (``None`` = don't care)."""
-    out = []
-    for record in records:
-        if strategy is not None and record.get("strategy") != strategy:
-            continue
-        if tier is not None and record.get("tier") != tier:
-            continue
-        if truncated is not None and _is_truncated(record) != truncated:
-            continue
-        out.append(record)
-    return out
-
-
-def top_by_phase(
-    records: Iterable[Mapping], phase: str, n: int = 10
-) -> List[Mapping]:
-    """The ``n`` records that spent the most seconds in ``phase``."""
-    def seconds(record: Mapping) -> float:
-        phases = record.get("phases")
-        if not isinstance(phases, Mapping):
-            return 0.0
-        return float(phases.get(phase, 0.0))
-
-    ranked = sorted(records, key=seconds, reverse=True)
-    return [record for record in ranked[:n] if seconds(record) > 0]
 
 
 def top_by_elapsed(records: Iterable[Mapping], n: int = 10) -> List[Mapping]:

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counters and fixed-bucket histograms.
 
 The registry is the measurement substrate for the whole recovery
 pipeline (paper §5 reports per-contract time, rule hit counts, and
@@ -87,18 +87,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (last write wins, also across merges)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
 class Histogram:
     """Fixed-boundary histogram of observations (typically seconds).
 
@@ -133,7 +121,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument accessors ------------------------------------------
@@ -143,13 +130,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        key = metric_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(
@@ -171,7 +151,6 @@ class MetricsRegistry:
         return {
             "schema": METRICS_SCHEMA_VERSION,
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
             "histograms": {
                 k: {
                     "bounds": list(h.bounds),
@@ -192,15 +171,14 @@ class MetricsRegistry:
     def merge(self, other: Union["MetricsRegistry", Mapping]) -> None:
         """Fold another registry (or its document) into this one.
 
-        Counters and histogram buckets add; gauges take the incoming
-        value.  Merging is how per-worker registries aggregate in the
-        batch parent and how ``--metrics-out`` accumulates across runs.
+        Counters and histogram buckets add.  Merging is how per-worker
+        registries aggregate in the batch parent and how
+        ``--metrics-out`` accumulates across runs.  A ``gauges`` section
+        (written by older versions) is ignored.
         """
         doc = other.to_dict() if isinstance(other, MetricsRegistry) else other
         for key, value in doc.get("counters", {}).items():
             self._counters.setdefault(key, Counter()).value += int(value)
-        for key, value in doc.get("gauges", {}).items():
-            self._gauges.setdefault(key, Gauge()).value = float(value)
         for key, payload in doc.get("histograms", {}).items():
             bounds = tuple(payload["bounds"])
             histogram = self._histograms.get(key)
@@ -249,13 +227,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -264,7 +235,6 @@ class _NullHistogram(Histogram):
 
 
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -280,9 +250,6 @@ class NullRegistry(MetricsRegistry):
 
     def counter(self, name: str, **labels: object) -> Counter:
         return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return _NULL_GAUGE
 
     def histogram(
         self,

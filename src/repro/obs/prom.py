@@ -69,11 +69,6 @@ def render_prometheus(source: Union[MetricsRegistry, Mapping]) -> str:
         name = _prom_name(name)
         type_line(name, "counter")
         lines.append(f"{name}{_prom_labels(labels)} {_format_value(value)}")
-    for key, value in doc.get("gauges", {}).items():
-        name, labels = parse_key(key)
-        name = _prom_name(name)
-        type_line(name, "gauge")
-        lines.append(f"{name}{_prom_labels(labels)} {_format_value(float(value))}")
     for key, payload in doc.get("histograms", {}).items():
         name, labels = parse_key(key)
         name = _prom_name(name)

@@ -1,8 +1,8 @@
-"""``repro report`` — one document over every telemetry source.
+"""``repro report`` — one document over a run's telemetry.
 
-Builds a structured report (and its human rendering) from any subset
-of: a metrics document (``--metrics-out``), a span trace
-(``--trace-out``), a run ledger and a slowlog.  Sections:
+Builds a structured report (and its human rendering) from a metrics
+document (``--metrics-out``), a run ledger (``--ledger-out``), or both.
+Sections:
 
 * **phases** — per-phase time attribution from the ``phase.seconds``
   histograms, with each phase's share of the attributable wall time
@@ -17,9 +17,8 @@ of: a metrics document (``--metrics-out``), a span trace
   when the run scored against ground truth;
 * **hotspots** — profiler step attribution aggregated across ledger
   records;
-* **slowest** — the slowest ledger records, the slowest contracts of a
-  trace and, when a slowlog is given, the kept exemplars with their
-  span trees.
+* **slowest** — the slowest ledger records, each with its batch
+  job/unit, per-phase seconds and diagnostics.
 
 ``repro report --metrics m.json --prometheus`` prints the Prometheus
 exposition of the same metrics document instead
@@ -28,12 +27,11 @@ exposition of the same metrics document instead
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.obs.metrics import parse_key
 from repro.obs.ledger import summarize, top_by_elapsed
 from repro.obs.profiler import render_hotspots, top_hotspots
-from repro.obs.slowlog import SlowLog, span_tree_lines
 
 __all__ = [
     "build_report",
@@ -82,7 +80,6 @@ def _phase_section(doc: Mapping) -> Dict[str, dict]:
 def _counter_sections(doc: Mapping, phases: Mapping[str, dict]) -> dict:
     """Tier, engine, recovery, rule, scheduler and evaluation counts."""
     counters = doc.get("counters", {})
-    gauges = doc.get("gauges", {})
 
     def value(key: str) -> int:
         return int(counters.get(key, 0))
@@ -141,8 +138,6 @@ def _counter_sections(doc: Mapping, phases: Mapping[str, dict]) -> dict:
             "units": value("batch.units"),
             "sharded_runs": value("tase.sharded_runs"),
             "shards": value("tase.shards"),
-            "queue_peak": gauges.get("batch.queue_peak", 0),
-            "steals": gauges.get("batch.steals", 0),
         },
         "evaluation": {
             "contracts": value("eval.contracts"),
@@ -151,24 +146,6 @@ def _counter_sections(doc: Mapping, phases: Mapping[str, dict]) -> dict:
             "accuracy": correct / functions if functions else None,
         },
     }
-
-
-def _slowest_contracts(trace_records: Sequence[Mapping], top: int) -> List[dict]:
-    """The slowest ``contract``/``contract_eval`` events of a trace."""
-    timed = []
-    for record in trace_records:
-        if record.get("type") != "event":
-            continue
-        attrs = record.get("attrs", {})
-        elapsed = attrs.get("elapsed")
-        if record.get("name") in ("contract", "contract_eval") and elapsed:
-            timed.append({
-                "contract": attrs.get("sha") or f"#{attrs.get('index', '?')}",
-                "elapsed_seconds": float(elapsed),
-                "functions": attrs.get("functions"),
-            })
-    timed.sort(key=lambda entry: -entry["elapsed_seconds"])
-    return timed[:top]
 
 
 def _aggregate_hotspots(records: Iterable[Mapping]) -> Dict[int, int]:
@@ -194,33 +171,37 @@ def _dominant_phase(record: Mapping) -> Optional[str]:
 
 
 def _slowest_section(records: List[Mapping], top: int) -> List[dict]:
+    """The ``top`` slowest records, with the evidence each one carries."""
     out = []
     for record in top_by_elapsed(records, top):
-        out.append({
+        entry = {
             "code_sha256": str(record.get("code_sha256", "?"))[:16],
             "elapsed_seconds": float(record.get("elapsed_seconds", 0.0)),
             "strategy": record.get("strategy"),
             "tier": record.get("tier"),
             "functions": record.get("functions"),
             "dominant_phase": _dominant_phase(record),
-        })
+            "phases": dict(record.get("phases") or {}),
+            "diagnostics": list(record.get("diagnostics") or []),
+        }
+        for key in ("job", "unit"):
+            if key in record:
+                entry[key] = record[key]
+        out.append(entry)
     return out
 
 
 def build_report(
     metrics_doc: Optional[Mapping] = None,
     ledger_records: Optional[List[Mapping]] = None,
-    slowlog: Optional[SlowLog] = None,
-    trace_records: Optional[Sequence[Mapping]] = None,
     top: int = 10,
 ) -> dict:
-    """Assemble the report document from whatever sources are given."""
+    """Assemble the report document from a metrics document, a ledger
+    or both."""
     report: dict = {"schema": 1}
     if metrics_doc is not None:
         report["phases"] = _phase_section(metrics_doc)
         report.update(_counter_sections(metrics_doc, report["phases"]))
-    if trace_records is not None:
-        report["slowest_contracts"] = _slowest_contracts(trace_records, top)
     if ledger_records is not None:
         report["ledger"] = summarize(ledger_records)
         hotspots = _aggregate_hotspots(ledger_records)
@@ -229,8 +210,6 @@ def build_report(
                 [pc, steps] for pc, steps in top_hotspots(hotspots, top)
             ]
         report["slowest"] = _slowest_section(list(ledger_records), top)
-    if slowlog is not None:
-        report["exemplars"] = slowlog.to_dict()
     return report
 
 
@@ -361,8 +340,6 @@ def _render_batch(report: dict, lines: List[str]) -> None:
         lines.append(
             f"  units {scheduler['units']:,} | sharded recoveries "
             f"{scheduler['sharded_runs']:,} ({scheduler['shards']:,} shards)"
-            f" | last run: queue peak {scheduler['queue_peak']:,.0f}, "
-            f"steals {scheduler['steals']:,.0f}"
         )
         lines.append("")
     evaluation = report.get("evaluation")
@@ -397,46 +374,32 @@ def _render_ledger(report: dict, lines: List[str]) -> None:
 
 def _render_slowest(report: dict, lines: List[str], top: int) -> None:
     slowest = report.get("slowest")
-    if slowest:
-        lines.append("slowest recoveries")
-        for entry in slowest[:top]:
-            dominant = entry.get("dominant_phase")
-            note = f"  mostly {dominant}" if dominant else ""
+    if not slowest:
+        return
+    lines.append("slowest recoveries")
+    for entry in slowest[:top]:
+        where = ""
+        if "job" in entry:
+            where = f"  job {entry['job']}"
+            if "unit" in entry:
+                where += f" unit {entry['unit']}"
+        functions = entry.get("functions")
+        dominant = entry.get("dominant_phase")
+        lines.append(
+            f"  {entry['code_sha256']}{where}  "
+            f"{entry['elapsed_seconds']:.3f}s  "
+            f"{entry.get('strategy')}/{entry.get('tier')}"
+            + (f"  {functions} function(s)" if functions is not None else "")
+            + (f"  mostly {dominant}" if dominant else "")
+        )
+        # Older report documents predate the per-entry evidence.
+        for phase, seconds in entry.get("phases", {}).items():
+            lines.append(f"    {phase:<20} {seconds:.3f}s")
+        for diagnostic in entry.get("diagnostics", []):
             lines.append(
-                f"  {entry['code_sha256']}  "
-                f"{entry['elapsed_seconds']:.3f}s  "
-                f"{entry.get('strategy')}/{entry.get('tier')}{note}"
+                f"    ! {diagnostic.get('kind')}: {diagnostic.get('detail')}"
             )
-        lines.append("")
-    contracts = report.get("slowest_contracts")
-    if contracts:
-        lines.append(f"slowest contracts (top {min(top, len(contracts))})")
-        for entry in contracts[:top]:
-            functions = entry.get("functions")
-            suffix = f"  {functions} function(s)" if functions is not None else ""
-            lines.append(
-                f"  {entry['contract']:<18} "
-                f"{entry['elapsed_seconds']:>9.3f}s{suffix}"
-            )
-        lines.append("")
-    exemplars = report.get("exemplars")
-    if isinstance(exemplars, Mapping) and exemplars.get("entries"):
-        lines.append("slow exemplars (with span trees)")
-        for entry in exemplars["entries"][:top]:
-            unit = entry.get("unit")
-            unit_note = f" unit {unit[0]}/{unit[1]}" if unit else ""
-            lines.append(
-                f"  {entry.get('contract')}{unit_note}  "
-                f"{entry.get('elapsed_seconds', 0.0):.3f}s"
-            )
-            for line in span_tree_lines(entry.get("spans", [])):
-                lines.append(f"    {line}")
-            for diagnostic in entry.get("diagnostics", []):
-                lines.append(
-                    f"    ! {diagnostic.get('kind')}: "
-                    f"{diagnostic.get('detail')}"
-                )
-        lines.append("")
+    lines.append("")
 
 
 def render_report(report: dict, top: int = 10) -> str:

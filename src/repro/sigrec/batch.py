@@ -33,6 +33,12 @@ counts are merged back into the parent tool's tracker (rule counters
 are purely additive, so the merged totals equal a serial run's), which
 keeps the Fig.-19 rule-frequency statistics correct under any worker
 count and any cache state.
+
+Telemetry rides the tool's backends the same way: worker metrics
+documents merge into the tool's registry, and the run ledger gets one
+record per unit (tagged with its ``job``/``unit``) plus one per
+result-cache hit.  That ledger record is the batch's only per-recovery
+record; a batch writes nothing to a span tracer.
 """
 
 from __future__ import annotations
@@ -48,13 +54,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.obs import (
     LEDGER_SCHEMA_VERSION,
     NULL_REGISTRY,
-    NULL_TRACER,
     HotLoopProfiler,
     MetricsRegistry,
-    SpanTracer,
 )
 from repro.obs.ledger import RunLedger
-from repro.obs.slowlog import SlowLog
 from repro.sigrec.api import RecoveredSignature, SigRec
 from repro.sigrec.cache import (
     ContentStore,
@@ -114,10 +117,9 @@ class UnitOutcome:
     counts: Dict[str, int]  # the unit's rule-fire counts
     metrics: Optional[dict]  # the unit's serialized metrics registry
     elapsed: float
-    pid: int
     memo: Tuple[int, int]  # function-memo (hits, misses) delta
     inference_memo: Tuple[int, int]  # inference-memo (hits, misses) delta
-    obs: Optional[dict]  # ledger records, spans, profile, diagnostics
+    obs: Optional[dict]  # ledger records and hot-loop profile
 
 
 def _analyze_unit(
@@ -136,30 +138,25 @@ def _analyze_unit(
     returns the serialized document, which the parent merges — counters
     are additive, so the aggregate equals a serial run's (the same
     pattern as the per-unit :class:`RuleTracker` merge).  The elapsed
-    wall time, worker pid and each memo's (hits, misses) delta ride
-    along for trace events, steal accounting and the batch stats — the
-    memo numbers come from the stores' own counters so they survive
+    wall time and each memo's (hits, misses) delta ride along for the
+    ``contract.seconds`` histogram and the batch stats — the memo
+    numbers come from the stores' own counters so they survive
     metrics-free runs.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
-    (run-ledger records), ``"spans"`` (the unit's span tree, for the
-    slowlog) and ``"profiler"`` (a mode string enabling hot-loop
-    attribution).  Whatever is enabled rides home in ``obs`` as plain
-    lists/dicts, merged additively by the parent — the same
+    (run-ledger records) and ``"profiler"`` (a mode string enabling
+    hot-loop attribution).  Whatever is enabled rides home in ``obs``
+    as plain lists/dicts, merged additively by the parent — the same
     ship-the-document pattern as the metrics registry.
     """
     job_index, unit_index, bytecode, only, exclude = unit
     registry = MetricsRegistry() if collect_metrics else None
     ledger = RunLedger() if obs_opts.get("ledger") else None
-    tracer = SpanTracer() if obs_opts.get("spans") else None
     profiler_mode = obs_opts.get("profiler")
     profiler = (
         HotLoopProfiler(mode=profiler_mode) if profiler_mode else None
     )
-    tool = SigRec(
-        metrics=registry, tracer=tracer, ledger=ledger, profiler=profiler,
-        **options,
-    )
+    tool = SigRec(metrics=registry, ledger=ledger, profiler=profiler, **options)
     before = {}
     for kind, enabled in (
         (FunctionMemo, tool.memo), (InferenceMemo, tool.inference_memo)
@@ -179,15 +176,10 @@ def _analyze_unit(
         store.metrics = NULL_REGISTRY
         probed[kind] = (store.hits - hits, store.misses - misses)
     obs: Optional[dict] = None
-    if ledger is not None or tracer is not None or profiler is not None:
+    if ledger is not None or profiler is not None:
         obs = {
             "ledger": ledger.records if ledger is not None else [],
-            "spans": tracer.records if tracer is not None else [],
             "profile": profiler.counts if profiler is not None else {},
-            "diagnostics": [
-                {"kind": d.kind, "detail": d.detail}
-                for d in tool.last_diagnostics
-            ],
         }
     return UnitOutcome(
         job_index=job_index,
@@ -196,7 +188,6 @@ def _analyze_unit(
         counts={r: c for r, c in tool.tracker.counts.items() if c},
         metrics=registry.to_dict() if registry is not None else None,
         elapsed=elapsed,
-        pid=os.getpid(),
         memo=probed.get(FunctionMemo, (0, 0)),
         inference_memo=probed.get(InferenceMemo, (0, 0)),
         obs=obs,
@@ -216,7 +207,6 @@ class BatchStats:
     elapsed_seconds: float = 0.0
     units: int = 0  # scheduler units the analyzed jobs became
     split_contracts: int = 0  # jobs that became more than one unit
-    steals: int = 0  # units that ran off their pre-shard slot
     memo_hits: int = 0  # function-body memo probes across all units
     memo_misses: int = 0
     inference_memo_hits: int = 0  # inference-memo probes across all units
@@ -274,8 +264,6 @@ class BatchStats:
             unit_note = f"{self.units} units"
             if self.split_contracts:
                 unit_note += f" ({self.split_contracts} contracts split)"
-            if self.steals:
-                unit_note += f", {self.steals} stolen"
             parts.append(unit_note)
         if self.cache_hits or self.cache_misses:
             parts.append(
@@ -318,20 +306,15 @@ class BatchRecovery:
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         unit_size: int = DEFAULT_UNIT_SIZE,
-        slowlog: Optional[SlowLog] = None,
     ) -> None:
         self.tool = tool if tool is not None else SigRec()
         # Telemetry flows through the tool's backends: worker documents
-        # merge into ``metrics``, per-contract records go to ``tracer``,
-        # worker run-ledger records append to ``ledger`` and worker
-        # hot-loop tallies fold into ``profiler`` — so batch and serial
-        # runs aggregate identically.  ``slowlog`` additionally keeps
-        # the K slowest units with their span trees and diagnostics.
+        # merge into ``metrics``, worker run-ledger records append to
+        # ``ledger`` and worker hot-loop tallies fold into ``profiler``
+        # — so batch and serial runs aggregate identically.
         self.metrics = self.tool.metrics
-        self.tracer = self.tool.tracer
         self.ledger = self.tool.ledger
         self.profiler = self.tool.profiler
-        self.slowlog = slowlog
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = max(0, workers)
@@ -356,13 +339,97 @@ class BatchRecovery:
         Every entry is an independent list object: mutating one result
         never affects another, even for duplicated bytecodes.
         """
-        # One root span per batch: workers run uninstrumented tracers
-        # (their telemetry arrives as merged registry documents), so
-        # this span plus the per-contract events is the whole trace.
-        with self.tracer.span(
-            "batch", contracts=len(bytecodes), workers=self.workers
-        ):
-            return self._recover_all(bytecodes, deduplicate)
+        start = time.perf_counter()
+        stats = BatchStats(total=len(bytecodes), workers=self.workers)
+        # Order-preserving dedup; with deduplicate=False every entry is
+        # its own job (the cache still collapses repeat work, but rule
+        # counters then count duplicates once each, like the serial
+        # non-dedup path).
+        if deduplicate:
+            jobs: List[bytes] = list(dict.fromkeys(bytecodes))
+        else:
+            jobs = list(bytecodes)
+        stats.unique = len(dict.fromkeys(bytecodes)) if bytecodes else 0
+
+        finished: Dict[int, List[RecoveredSignature]] = {}
+        pending: List[int] = []
+        for index, code in enumerate(jobs):
+            cached = self.cache.get(code) if self.cache is not None else None
+            if cached is not None:
+                signatures, counts = cached
+                finished[index] = signatures
+                self.tool.tracker.merge(counts)
+                if self.ledger is not None:
+                    # A cache hit never calls ``recover``, so the parent
+                    # writes its ledger record: the "result-cache" tier.
+                    self.ledger.append({
+                        "schema": LEDGER_SCHEMA_VERSION,
+                        "code_sha256": hashlib.sha256(code).hexdigest(),
+                        "bytes": len(code),
+                        "strategy": "cached",
+                        "tier": "result-cache",
+                        "partial": False,
+                        "functions": len(signatures),
+                        "elapsed_seconds": 0.0,
+                        "phases": {},
+                        "job": index,
+                    })
+            else:
+                pending.append(index)
+        if self.cache is not None:
+            stats.cache_hits = len(jobs) - len(pending)
+            stats.cache_misses = len(pending)
+        stats.analyzed = len(pending)
+
+        units: List[_Unit] = []
+        for index in pending:
+            job_units = self._units_for(index, jobs[index])
+            if len(job_units) > 1:
+                stats.split_contracts += 1
+            units.extend(job_units)
+        stats.units = len(units)
+
+        obs_opts: Dict[str, object] = {
+            "ledger": self.ledger is not None,
+            "profiler": (
+                self.profiler.mode if self.profiler is not None else None
+            ),
+        }
+        analyze = partial(
+            _analyze_unit,
+            self.tool.options(),
+            self.metrics is not NULL_REGISTRY,
+            self.memo_dir,
+            os.urandom(8).hex(),  # memory-tier scope: this run only
+            obs_opts,
+        )
+        if units:
+            if self.workers and len(units) > 1:
+                outcomes = self._drain_parallel(analyze, units)
+            else:
+                outcomes = [analyze(unit) for unit in units]
+            for outcome in outcomes:
+                stats.memo_hits += outcome.memo[0]
+                stats.memo_misses += outcome.memo[1]
+                stats.inference_memo_hits += outcome.inference_memo[0]
+                stats.inference_memo_misses += outcome.inference_memo[1]
+            self._assemble(jobs, outcomes, finished)
+
+        if deduplicate:
+            by_code = {code: finished[i] for i, code in enumerate(jobs)}
+            out = [list(by_code[code]) for code in bytecodes]
+        else:
+            out = [list(finished[i]) for i in range(len(jobs))]
+        stats.elapsed_seconds = time.perf_counter() - start
+        if self.metrics is not NULL_REGISTRY:
+            metrics = self.metrics
+            metrics.counter("batch.contracts").inc(stats.total)
+            metrics.counter("batch.unique").inc(stats.unique)
+            metrics.counter("batch.analyzed").inc(stats.analyzed)
+            metrics.counter("batch.units").inc(stats.units)
+            metrics.histogram("batch.seconds").observe(stats.elapsed_seconds)
+        self.stats = stats
+        return out
 
     def profile_all(
         self, bytecodes: Sequence[bytes], deduplicate: bool = True
@@ -435,129 +502,14 @@ class BatchRecovery:
             )
         return units
 
-    def _recover_all(
-        self, bytecodes: Sequence[bytes], deduplicate: bool
-    ) -> List[List[RecoveredSignature]]:
-        start = time.perf_counter()
-        stats = BatchStats(total=len(bytecodes), workers=self.workers)
-        # Order-preserving dedup; with deduplicate=False every entry is
-        # its own job (the cache still collapses repeat work, but rule
-        # counters then count duplicates once each, like the serial
-        # non-dedup path).
-        if deduplicate:
-            jobs: List[bytes] = list(dict.fromkeys(bytecodes))
-        else:
-            jobs = list(bytecodes)
-        stats.unique = len(dict.fromkeys(bytecodes)) if bytecodes else 0
-
-        observing = (
-            self.metrics is not NULL_REGISTRY or self.tracer is not NULL_TRACER
-        )
-        finished: Dict[int, List[RecoveredSignature]] = {}
-        pending: List[int] = []
-        for index, code in enumerate(jobs):
-            cached = self.cache.get(code) if self.cache is not None else None
-            if cached is not None:
-                signatures, counts = cached
-                finished[index] = signatures
-                self.tool.tracker.merge(counts)
-                if self.ledger is not None:
-                    # A cache hit never calls ``recover``, so the parent
-                    # writes its ledger record: the "result-cache" tier.
-                    self.ledger.append({
-                        "schema": LEDGER_SCHEMA_VERSION,
-                        "code_sha256": hashlib.sha256(code).hexdigest(),
-                        "bytes": len(code),
-                        "strategy": "cached",
-                        "tier": "result-cache",
-                        "partial": False,
-                        "functions": len(signatures),
-                        "elapsed_seconds": 0.0,
-                        "phases": {},
-                        "job": index,
-                    })
-                if observing:
-                    self.tracer.event(
-                        "contract",
-                        index=index,
-                        sha=hashlib.sha256(code).hexdigest()[:16],
-                        functions=len(signatures),
-                        cached=True,
-                    )
-            else:
-                pending.append(index)
-        if self.cache is not None:
-            stats.cache_hits = len(jobs) - len(pending)
-            stats.cache_misses = len(pending)
-        stats.analyzed = len(pending)
-
-        units: List[_Unit] = []
-        for index in pending:
-            job_units = self._units_for(index, jobs[index])
-            if len(job_units) > 1:
-                stats.split_contracts += 1
-            units.extend(job_units)
-        stats.units = len(units)
-
-        obs_opts: Dict[str, object] = {
-            "ledger": self.ledger is not None,
-            "spans": self.slowlog is not None,
-            "profiler": (
-                self.profiler.mode if self.profiler is not None else None
-            ),
-        }
-        analyze = partial(
-            _analyze_unit,
-            self.tool.options(),
-            self.metrics is not NULL_REGISTRY,
-            self.memo_dir,
-            os.urandom(8).hex(),  # memory-tier scope: this run only
-            obs_opts,
-        )
-        if units:
-            if self.workers and len(units) > 1:
-                outcomes, stats.steals = self._drain_parallel(analyze, units)
-            else:
-                outcomes = [analyze(unit) for unit in units]
-            for outcome in outcomes:
-                stats.memo_hits += outcome.memo[0]
-                stats.memo_misses += outcome.memo[1]
-                stats.inference_memo_hits += outcome.inference_memo[0]
-                stats.inference_memo_misses += outcome.inference_memo[1]
-            self._assemble(jobs, outcomes, finished, observing)
-
-        if deduplicate:
-            by_code = {code: finished[i] for i, code in enumerate(jobs)}
-            out = [list(by_code[code]) for code in bytecodes]
-        else:
-            out = [list(finished[i]) for i in range(len(jobs))]
-        stats.elapsed_seconds = time.perf_counter() - start
-        if self.metrics is not NULL_REGISTRY:
-            metrics = self.metrics
-            metrics.counter("batch.contracts").inc(stats.total)
-            metrics.counter("batch.unique").inc(stats.unique)
-            metrics.counter("batch.analyzed").inc(stats.analyzed)
-            metrics.counter("batch.units").inc(stats.units)
-            metrics.histogram("batch.seconds").observe(stats.elapsed_seconds)
-            # Scheduler shape is timing-dependent (which worker grabbed
-            # which unit), so it must live in gauges: counters would
-            # break the exact serial==parallel aggregate guarantee.
-            metrics.gauge("batch.queue_peak").set(stats.units)
-            metrics.gauge("batch.steals").set(stats.steals)
-        self.stats = stats
-        return out
-
     def _drain_parallel(
         self, analyze, units: List[_Unit]
-    ) -> Tuple[List[UnitOutcome], int]:
+    ) -> List[UnitOutcome]:
         """Shared-queue draining: submit every unit, collect as done.
 
         ``submit``/``as_completed`` *is* the work-stealing: the executor
         keeps one shared queue and any idle worker takes the next unit,
         so a straggler contract delays only the worker chewing on it.
-        The steal count compares where each unit actually ran against
-        the fixed pre-sharding (contiguous chunks per worker) the old
-        scheduler would have used.
         """
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {
@@ -567,23 +519,13 @@ class BatchRecovery:
             outcomes: List[UnitOutcome] = [None] * len(units)  # type: ignore
             for future in as_completed(futures):
                 outcomes[futures[future]] = future.result()
-        # Pre-shard slot i*W//N vs the slot (pid, by first appearance in
-        # submission order) that actually executed the unit.
-        pids: Dict[int, int] = {}
-        steals = 0
-        chunk = max(1, -(-len(units) // self.workers))  # ceil division
-        for position, outcome in enumerate(outcomes):
-            slot = pids.setdefault(outcome.pid, len(pids))
-            if slot != min(position // chunk, self.workers - 1):
-                steals += 1
-        return outcomes, steals
+        return outcomes
 
     def _assemble(
         self,
         jobs: List[bytes],
         outcomes: List[UnitOutcome],
         finished: Dict[int, List[RecoveredSignature]],
-        observing: bool,
     ) -> None:
         """Fold per-unit outcomes back into per-contract results."""
         partial_sigs: Dict[int, List[RecoveredSignature]] = {}
@@ -614,16 +556,6 @@ class BatchRecovery:
                     self.profiler.merge(
                         {int(pc): c for pc, c in obs["profile"].items()}
                     )
-                if self.slowlog is not None:
-                    self.slowlog.offer(
-                        elapsed,
-                        contract=hashlib.sha256(
-                            jobs[job_index]
-                        ).hexdigest()[:16],
-                        unit=(job_index, unit_index),
-                        spans=obs["spans"],
-                        diagnostics=obs["diagnostics"],
-                    )
         for job_index, signatures in partial_sigs.items():
             # Units cover disjoint selector sets, so sorting restores
             # exactly the order a whole-contract recovery returns.
@@ -632,14 +564,7 @@ class BatchRecovery:
             elapsed = partial_elapsed[job_index]
             finished[job_index] = signatures
             self.tool.tracker.merge(counts)
-            if observing:
+            if self.metrics is not NULL_REGISTRY:
                 self.metrics.histogram("contract.seconds").observe(elapsed)
-                self.tracer.event(
-                    "contract",
-                    index=job_index,
-                    sha=hashlib.sha256(jobs[job_index]).hexdigest()[:16],
-                    functions=len(signatures),
-                    elapsed=elapsed,
-                )
             if self.cache is not None:
                 self.cache.put(jobs[job_index], signatures, counts)

@@ -30,8 +30,8 @@ def _code(signature="f(uint8)"):
 def test_default_pipeline_runs_all_passes():
     context = DEFAULT_PIPELINE.run(_code())
     assert DEFAULT_PIPELINE.names() == (
-        "cfg", "jumps", "stack", "dispatcher", "storage",
-        "reach", "mutability", "returns", "lint",
+        "cfg", "jumps", "stack", "dispatcher", "reach",
+        "storage", "mutability", "returns", "lint",
     )
     for name in DEFAULT_PIPELINE.names():
         assert name in context

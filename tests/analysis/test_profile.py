@@ -125,6 +125,26 @@ def test_static_only_profile_skips_recovery():
     assert profile.dispatcher["selectors"]  # static facts still present
 
 
+def test_profile_computes_each_selector_region_once(monkeypatch):
+    from repro.analysis.dataflow import ResolvedCFG
+
+    starts = []
+    reachable_from = ResolvedCFG.reachable_from
+
+    def counting(self, start):
+        starts.append(start)
+        return reachable_from(self, start)
+
+    monkeypatch.setattr(ResolvedCFG, "reachable_from", counting)
+    signatures = ("a(uint8)", "b(bool)", "c(address)", "d(uint256)")
+    code = compile_contract([FunctionSignature.parse(s) for s in signatures])
+    profile = SigRec().profile(code.bytecode)
+    assert len(profile.signatures) == len(signatures)
+    # One walk per selector region, plus one from the entry for the
+    # unreachable blocks; storage attribution reuses the reach regions.
+    assert len(starts) == len(signatures) + 1
+
+
 def test_profile_bytecode_helper_matches_build_profile():
     code = _code()
     helper = profile_bytecode(code)

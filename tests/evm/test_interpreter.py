@@ -190,6 +190,29 @@ def test_memory_growth_within_the_gas_is_not_charged():
     assert result.gas_used == 3 + 3 + 3
 
 
+def test_zero_length_return_at_a_huge_offset_succeeds():
+    # PUSH1 0, PUSH8 2**56, RETURN: an empty range grows no memory.
+    result = Interpreter(bytes.fromhex("6000670100000000000000f3")).call(b"")
+    assert result.success, result.error
+    assert result.return_data == b""
+    near = Interpreter(bytes.fromhex("6000600000f3")).call(b"")
+    assert result.gas_used == near.gas_used
+
+
+def test_zero_length_sha3_at_a_huge_offset_succeeds():
+    digest = run_return_word([("PUSH1", 0), ("PUSH8", 1 << 56), "SHA3"])
+    assert digest == int.from_bytes(keccak256(b""), "big")
+
+
+def test_zero_length_accesses_leave_msize_at_zero():
+    program = [
+        ("PUSH1", 0), ("PUSH1", 100), "SHA3", "POP",
+        ("PUSH1", 0), ("PUSH1", 0), ("PUSH1", 100), "CALLDATACOPY",
+        "MSIZE",
+    ]
+    assert run_return_word(program, b"\x01\x02") == 0
+
+
 def test_call_stubs_push_success():
     result = run(
         ["GAS", ("PUSH1", 0), ("PUSH1", 0), ("PUSH1", 0), ("PUSH1", 0),

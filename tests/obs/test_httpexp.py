@@ -26,7 +26,6 @@ def registry():
     reg = MetricsRegistry()
     reg.counter("recover.calls").inc(3)
     reg.counter("rules.fired", rule="R4").inc(7)
-    reg.gauge("batch.queue_peak").set(5)
     reg.histogram("phase.seconds", phase="tase").observe(0.25)
     return reg
 

@@ -8,13 +8,11 @@ from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.obs import MetricsRegistry, RunLedger
 from repro.obs.ledger import (
-    filter_records,
     ledger_paths,
     phase_delta,
     read_ledger,
     summarize,
     top_by_elapsed,
-    top_by_phase,
 )
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
@@ -114,18 +112,7 @@ _RECORDS = [
 ]
 
 
-def test_filter_records_by_strategy_tier_truncation():
-    assert len(filter_records(_RECORDS, strategy="sharded")) == 2
-    assert len(filter_records(_RECORDS, tier="result-cache")) == 1
-    assert len(filter_records(_RECORDS, truncated=True)) == 1
-    assert len(
-        filter_records(_RECORDS, strategy="sharded", truncated=False)
-    ) == 1
-
-
-def test_top_by_phase_and_elapsed():
-    top = top_by_phase(_RECORDS, "tase", n=5)
-    assert [record["phases"]["tase"] for record in top] == [0.4, 0.01]
+def test_top_by_elapsed_ranks_slowest_first():
     top = top_by_elapsed(_RECORDS, n=2)
     assert [record["elapsed_seconds"] for record in top] == [0.5, 0.1]
 

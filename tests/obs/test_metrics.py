@@ -21,9 +21,9 @@ def test_counter_and_gauge_basics():
     registry = MetricsRegistry()
     registry.counter("a").inc()
     registry.counter("a").inc(4)
-    registry.gauge("g").set(2.5)
     assert registry.counter("a").value == 5
-    assert registry.gauge("g").value == 2.5
+    # There is no gauge instrument (older documents: see below).
+    assert not hasattr(registry, "gauge")
 
 
 def test_metric_key_is_label_order_stable():
@@ -60,15 +60,37 @@ def test_histogram_boundary_value_lands_in_its_bucket():
 def test_round_trip_and_merge():
     a = MetricsRegistry()
     a.counter("c").inc(2)
-    a.gauge("g").set(1.0)
     a.histogram("h", buckets=(0.5, 1.5)).observe(1.0)
     b = MetricsRegistry.from_dict(a.to_dict())
     b.merge(a)  # registry merge, not just document merge
     assert b.counter("c").value == 4
-    assert b.gauge("g").value == 1.0
     assert b.histogram("h", buckets=(0.5, 1.5)).count == 2
     # Serialized documents stay JSON-clean.
     json.dumps(b.to_dict())
+
+
+def test_older_document_with_gauges_still_loads_and_merges(tmp_path):
+    # Documents written before gauges were removed carry a ``gauges``
+    # section; reading and merging them keeps everything else.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "counters": {"batch.units": 31},
+        "gauges": {"batch.queue_peak": 31.0, "batch.steals": 4.0},
+        "histograms": {},
+    }))
+    doc = load_metrics(str(path))
+    assert doc is not None and doc["counters"] == {"batch.units": 31}
+    registry = MetricsRegistry.from_dict(doc)
+    registry.merge(doc)
+    assert registry.counter("batch.units").value == 62
+    assert "gauges" not in registry.to_dict()
+    run = MetricsRegistry()
+    run.counter("batch.units").inc(9)
+    merged = dump_metrics(run, str(path))
+    assert merged["counters"] == {"batch.units": 40}
+    assert "gauges" not in merged
+    assert "gauges" not in json.loads(path.read_text())
 
 
 def test_merge_rejects_mismatched_histogram_bounds():
@@ -82,10 +104,9 @@ def test_merge_rejects_mismatched_histogram_bounds():
 
 def test_null_registry_swallows_everything():
     NULL_REGISTRY.counter("x", rule="R4").inc(10)
-    NULL_REGISTRY.gauge("y").set(3)
     NULL_REGISTRY.histogram("z").observe(0.2)
     doc = NULL_REGISTRY.to_dict()
-    assert doc["counters"] == {} and doc["gauges"] == {}
+    assert doc["counters"] == {}
     assert doc["histograms"] == {}
     # Null instruments are shared singletons: creation allocates nothing.
     assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")

@@ -31,7 +31,6 @@ def test_prometheus_exposition_shape():
     registry = MetricsRegistry()
     registry.counter("cache.hits").inc(3)
     registry.counter("rules.fired", rule="R4").inc(2)
-    registry.gauge("batch.workers").set(8)
     histogram = registry.histogram("phase.seconds", phase="tase", buckets=(0.5, 1.0))
     histogram.observe(0.2)
     histogram.observe(2.0)
@@ -39,7 +38,7 @@ def test_prometheus_exposition_shape():
     assert "# TYPE cache_hits counter" in text
     assert "cache_hits 3" in text
     assert 'rules_fired{rule="R4"} 2' in text
-    assert "# TYPE batch_workers gauge" in text
+    assert "# TYPE phase_seconds histogram" in text
     assert 'phase_seconds_bucket{phase="tase",le="0.5"} 1' in text
     assert 'phase_seconds_bucket{phase="tase",le="1.0"} 1' in text
     assert 'phase_seconds_bucket{phase="tase",le="+Inf"} 2' in text
@@ -70,15 +69,15 @@ def test_prometheus_escapes_backslash_quote_and_newline():
     assert (name, labels, value) == ("c", {"tag": 'back\\sl"ash'}, 4.0)
 
 
-def test_prometheus_renders_non_finite_gauges():
+def test_prometheus_renders_non_finite_histogram_sums():
     registry = MetricsRegistry()
-    registry.gauge("g_nan").set(float("nan"))
-    registry.gauge("g_pos").set(float("inf"))
-    registry.gauge("g_neg").set(float("-inf"))
+    registry.histogram("h_nan").observe(float("nan"))
+    registry.histogram("h_pos").observe(float("inf"))
+    registry.histogram("h_neg").observe(float("-inf"))
     text = render_prometheus(registry)
-    assert "g_nan NaN" in text
-    assert "g_pos +Inf" in text
-    assert "g_neg -Inf" in text
+    assert "h_nan_sum NaN" in text
+    assert "h_pos_sum +Inf" in text
+    assert "h_neg_sum -Inf" in text
     # The spellings are the ones a scraper's float() accepts.
     assert validate_exposition(text) == []
 

@@ -4,9 +4,10 @@ import pytest
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
-from repro.obs import MetricsRegistry, RunLedger, SlowLog
+from repro.obs import MetricsRegistry, RunLedger
 from repro.obs.report import build_report, render_report
 from repro.sigrec.api import SigRec
+from repro.sigrec.batch import BatchRecovery
 from tests.obs.test_prom import _sample_doc
 
 
@@ -99,19 +100,55 @@ def test_slowest_section_names_the_dominant_phase():
     assert slowest[1]["dominant_phase"] is None
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_slowest_section_shows_each_units_phases_and_diagnostics(workers):
+    # max_paths=2 truncates only the five-selector contract, which
+    # unit_size=2 splits into three units: a mix of records with and
+    # without a diagnostic.
+    ledger = RunLedger()
+    tool = SigRec(metrics=MetricsRegistry(), ledger=ledger, max_paths=2)
+    runner = BatchRecovery(tool=tool, workers=workers, unit_size=2)
+    runner.recover_all([
+        _bytecode("a(uint8)", "b(bool)", "c(address)", "d(uint256)",
+                  "e(bytes)"),
+        _bytecode("f(uint8)"),
+        _bytecode("g(uint256[])", "h(string)"),
+    ])
+    assert runner.stats.split_contracts == 1
+    records = ledger.all_records()
+    by_unit = {(r["job"], r["unit"]): r for r in records}
+    assert len(by_unit) == len(records) == 5
+
+    report = build_report(ledger_records=records, top=len(records))
+    slowest = report["slowest"]
+    assert {(e["job"], e["unit"]) for e in slowest} == set(by_unit)
+    elapsed = [entry["elapsed_seconds"] for entry in slowest]
+    assert elapsed == sorted(elapsed, reverse=True)
+    for entry in slowest:
+        record = by_unit[entry["job"], entry["unit"]]
+        assert entry["phases"] and entry["phases"] == record["phases"]
+        assert entry["diagnostics"] == record["diagnostics"]
+    flagged = [entry for entry in slowest if entry["diagnostics"]]
+    assert {entry["job"] for entry in flagged} == {0}
+
+    text = render_report(report, top=len(records))
+    for entry in slowest:
+        assert f"job {entry['job']} unit {entry['unit']}" in text
+    first = slowest[0]
+    for phase, seconds in first["phases"].items():
+        assert f"    {phase:<20} {seconds:.3f}s" in text
+    diagnostic = flagged[0]["diagnostics"][0]
+    assert diagnostic["kind"] == "tase-truncated-paths"
+    assert f"    ! {diagnostic['kind']}: {diagnostic['detail']}" in text
+
+
 def test_render_report_has_every_section(run_sources):
     doc, records = run_sources
-    slowlog = SlowLog(k=2)
-    slowlog.offer(0.4, contract="abcd", unit=(0, 0))
-    text = render_report(
-        build_report(metrics_doc=doc, ledger_records=records,
-                     slowlog=slowlog)
-    )
+    text = render_report(build_report(metrics_doc=doc, ledger_records=records))
     assert "phase time attribution" in text
     assert "tier hit rates" in text
     assert "run ledger: 2 records" in text
     assert "slowest recoveries" in text
-    assert "slow exemplars" in text
 
 
 def test_render_empty_report():
@@ -168,27 +205,6 @@ def test_render_report_covers_every_metrics_section():
         "fired": {"R4": 9, "R11": 3}, "shadowed": {"R15": 2},
     }
     assert report["evaluation"]["accuracy"] == pytest.approx(8 / 9)
-
-
-def test_render_report_lists_slowest_contracts_from_trace():
-    trace = [
-        {
-            "type": "event",
-            "name": "contract",
-            "attrs": {"sha": "aa" * 8, "elapsed": 0.5, "functions": 3},
-        },
-        {
-            "type": "event",
-            "name": "contract",
-            "attrs": {"sha": "bb" * 8, "elapsed": 2.0, "functions": 1},
-        },
-        {"type": "span_start", "name": "batch", "id": 1, "parent": None},
-    ]
-    report = build_report(metrics_doc=_sample_doc(), trace_records=trace, top=1)
-    text = render_report(report, top=1)
-    assert "slowest contracts (top 1)" in text
-    assert "bb" * 8 in text
-    assert "aa" * 8 not in text
 
 
 def test_render_report_empty_metrics_document():

@@ -2,7 +2,7 @@
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
-from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, SpanTracer
+from repro.obs import NULL_REGISTRY, MetricsRegistry, SpanTracer
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import ResultCache
@@ -178,24 +178,8 @@ def test_parallel_batch_merges_worker_registries_exactly():
     assert values["recover.calls"] == 3
 
 
-def test_batch_cache_hits_emit_trace_events(tmp_path):
-    code = _bytecode("a(uint8)")
-    for _round in range(2):
-        tracer = SpanTracer()
-        tool = SigRec(metrics=MetricsRegistry(), tracer=tracer)
-        runner = BatchRecovery(
-            tool=tool, workers=0, cache_dir=str(tmp_path)
-        )
-        runner.recover_all([code])
-    events = [r for r in tracer.records if r["type"] == "event"]
-    assert len(events) == 1
-    assert events[0]["name"] == "contract"
-    assert events[0]["attrs"]["cached"] is True
-
-
 def test_uninstrumented_batch_stays_silent():
     runner = BatchRecovery(tool=SigRec(), workers=0)
     runner.recover_all([_bytecode("a(uint8)")])
     assert runner.metrics is NULL_REGISTRY
-    assert runner.tracer is NULL_TRACER
     assert NULL_REGISTRY.to_dict()["counters"] == {}

@@ -412,12 +412,10 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{token_hex}\n")
     metrics_path = tmp_path / "m.json"
-    trace_path = tmp_path / "t.jsonl"
     args = [
         "batch", str(corpus), "--workers", "0",
         "--cache-dir", str(tmp_path / "cache"),
         "--metrics-out", str(metrics_path),
-        "--trace-out", str(trace_path),
     ]
     assert main(args) == 0  # cold
     assert main(args) == 0  # warm: cache hits land in the same document
@@ -433,18 +431,11 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert counters["cache.hits"] == 1
     assert any(k.startswith("rules.fired{rule=") for k in counters)
 
-    from repro.obs.trace import read_trace
-
-    records = read_trace(str(trace_path))
-    batch_span = next(
-        r for r in records
-        if r["type"] == "span_start" and r["name"] == "batch"
-    )
-    events = [r for r in records if r["type"] == "event"]
-    assert events and all(r["name"] == "contract" for r in events)
-    assert all(r["parent"] == batch_span["id"] for r in events)
-    # The warm rerun rewrote the trace: its sole contract was cached.
-    assert events[0]["attrs"].get("cached") is True
+    # A batch writes no trace: the ledger is its per-recovery record.
+    with pytest.raises(SystemExit) as excinfo:
+        main(args + ["--trace-out", str(tmp_path / "t.jsonl")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_report_renders_metrics_document_and_trace(token_hex, tmp_path, capsys):
@@ -453,20 +444,20 @@ def test_report_renders_metrics_document_and_trace(token_hex, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{token_hex}\n")
     metrics_path = tmp_path / "m.json"
-    trace_path = tmp_path / "t.jsonl"
     assert main([
         "batch", str(corpus), "--workers", "0",
         "--metrics-out", str(metrics_path),
-        "--trace-out", str(trace_path),
     ]) == 0
     capsys.readouterr()
-    assert main([
-        "report", "--metrics", str(metrics_path), "--trace", str(trace_path),
-    ]) == 0
+    assert main(["report", "--metrics", str(metrics_path)]) == 0
     out = capsys.readouterr().out
     assert "engine" in out
     assert "rules (fired" in out
-    assert "slowest contracts" in out
+    # The report reads a metrics document and a ledger, never a trace.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--metrics", str(metrics_path), "--trace", "t.jsonl"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
     assert main(["report", "--metrics", str(metrics_path), "--prometheus"]) == 0
     out = capsys.readouterr().out
     assert "# TYPE tase_paths counter" in out
@@ -527,8 +518,8 @@ def test_passes_command_lists_pipeline(capsys):
     doc = json.loads(capsys.readouterr().out)
     names = [entry["name"] for entry in doc]
     assert names == [
-        "cfg", "jumps", "stack", "dispatcher", "storage",
-        "reach", "mutability", "returns", "lint",
+        "cfg", "jumps", "stack", "dispatcher", "reach",
+        "storage", "mutability", "returns", "lint",
     ]
     assert all(entry["version"] >= 1 for entry in doc)
 
@@ -566,17 +557,14 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
     corpus.write_text(f"{token_hex}\n")
     metrics_path = tmp_path / "m.json"
     ledger_path = tmp_path / "ledger.jsonl"
-    slowlog_path = tmp_path / "slow.json"
     assert main([
         "batch", str(corpus), "--workers", "0",
         "--metrics-out", str(metrics_path),
         "--ledger-out", str(ledger_path),
-        "--slowlog-out", str(slowlog_path), "--slowlog-k", "3",
         "--profile-hotspots", "count",
     ]) == 0
     captured = capsys.readouterr()
     assert f"ledger: {ledger_path} (1 records)" in captured.err
-    assert f"slowlog: {slowlog_path}" in captured.err
     assert "hot superblocks" in captured.err
 
     with open(ledger_path, encoding="utf-8") as handle:
@@ -584,18 +572,49 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
     assert record["tier"] == "cold" and record["hotspots"]
 
     assert main([
-        "report", "--metrics", str(metrics_path),
-        "--ledger", str(ledger_path), "--slowlog", str(slowlog_path),
+        "report", "--metrics", str(metrics_path), "--ledger", str(ledger_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "phase time attribution" in out
     assert "run ledger: 1 records" in out
     assert "hot superblocks" in out
-    assert "slow exemplars" in out
+    assert "slowest recoveries" in out
 
     assert main(["report", "--ledger", str(ledger_path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ledger"]["records"] == 1
+
+
+def test_batch_ledger_is_the_reports_only_per_recovery_source(
+    token_hex, tmp_path, capsys
+):
+    import re
+
+    for command, gone in (
+        ("batch", ("--trace-out", "--slowlog-out", "--slowlog-k")),
+        ("report", ("--trace", "--slowlog")),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed.isdisjoint(gone), command
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{token_hex}\n")
+    ledger_path = tmp_path / "ledger.jsonl"
+    assert main([
+        "batch", str(corpus), "--workers", "0", "--unit-size", "1",
+        "--ledger-out", str(ledger_path),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["report", "--ledger", str(ledger_path)]) == 0
+    out = capsys.readouterr().out
+    slowest = out[out.index("slowest recoveries"):].splitlines()
+    # Each unit of the split contract is one ranked entry, followed by
+    # its per-phase seconds.
+    assert re.match(r"  [0-9a-f]{16}  job 0 unit \d+  \d+\.\d{3}s  ", slowest[1])
+    assert any(re.fullmatch(r"    tase +\d+\.\d{3}s", line) for line in slowest)
 
 
 def test_report_requires_a_source():
