@@ -21,7 +21,7 @@ import pytest
 from repro.corpus.signatures import SignatureGenerator
 from repro.compiler import compile_contract
 from repro.sigrec.api import SigRec
-from repro.sigrec.batch import BatchRecovery
+from repro.sigrec.batch import BatchRecovery, shutdown_pool
 
 
 def _unique_corpus(n_contracts: int = 48, seed: int = 77):
@@ -38,9 +38,14 @@ def _unique_corpus(n_contracts: int = 48, seed: int = 77):
 
 
 def _timed_run(codes, workers, cache_dir=None):
+    """One timed call.  A pooled call forks its own pool and joins it
+    inside the timing, as if the pool lived for this call alone: a pool
+    left warm by an earlier call would flatter the speedup."""
     runner = BatchRecovery(tool=SigRec(), workers=workers, cache_dir=cache_dir)
+    shutdown_pool()
     start = time.perf_counter()
     results = runner.recover_all(codes)
+    shutdown_pool()
     elapsed = time.perf_counter() - start
     return results, runner, elapsed
 

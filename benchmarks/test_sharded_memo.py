@@ -17,7 +17,7 @@ import pytest
 
 from repro.corpus.datasets import build_clone_corpus
 from repro.sigrec.api import SigRec
-from repro.sigrec.batch import BatchRecovery
+from repro.sigrec.batch import BatchRecovery, shutdown_pool
 
 WORKERS = 4
 
@@ -43,11 +43,15 @@ def test_warm_memo_batch_beats_monolithic_baseline(record, bench_json, tmp_path)
     assert len(set(codes)) == len(codes)  # every clone is a distinct bytecode
 
     # PR 4 baseline: monolithic TASE, no function memo, same worker pool.
+    # Each timed side forks its own pool and joins it inside the timing,
+    # so the warm side cannot reuse the pool the baseline forked.
     baseline_runner = BatchRecovery(
         tool=SigRec(memo=False), workers=WORKERS
     )
+    shutdown_pool()
     start = time.perf_counter()
     baseline_results = baseline_runner.recover_all(codes)
+    shutdown_pool()
     baseline_elapsed = time.perf_counter() - start
 
     # Prime the disk tier of the function memo from one clone per family
@@ -62,8 +66,10 @@ def test_warm_memo_batch_beats_monolithic_baseline(record, bench_json, tmp_path)
     warm_runner = BatchRecovery(
         tool=SigRec(), workers=WORKERS, cache_dir=str(tmp_path)
     )
+    shutdown_pool()
     start = time.perf_counter()
     warm_results = warm_runner.recover_all(codes)
+    shutdown_pool()
     warm_elapsed = time.perf_counter() - start
 
     assert _keys(warm_results) == _keys(baseline_results)

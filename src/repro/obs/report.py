@@ -226,6 +226,7 @@ def _render_phases(report: dict, lines: List[str]) -> None:
     ledger_phases = (
         ledger.get("phase_seconds", {}) if isinstance(ledger, Mapping) else {}
     )
+    width = max(len(phase) for phase in phases)
     for phase, entry in phases.items():
         share = entry.get("share")
         share_note = f"  {share:6.1%}" if share is not None else "        "
@@ -233,7 +234,7 @@ def _render_phases(report: dict, lines: List[str]) -> None:
         if phase in ledger_phases:
             note = f"  [ledger {ledger_phases[phase]:.3f}s]"
         lines.append(
-            f"  {phase:<16} {entry['seconds']:>9.3f}s{share_note}"
+            f"  {phase:<{width}} {entry['seconds']:>9.3f}s{share_note}"
             f"  ({entry['count']} spans){note}"
         )
     lines.append("")

@@ -26,7 +26,15 @@ across cores.  :class:`BatchRecovery` composes four layers:
    pre-assigned straggler.  Contracts with many selectors split into
    several units, so one pathological contract no longer serializes the
    tail of the run.  ``workers=0`` drains the identical unit list
-   serially, producing byte-identical results and counters.
+   serially, producing byte-identical results and counters.  The pool
+   lives as long as the process: the first parallel drain forks it,
+   every later call with the same worker count reuses it (another count
+   replaces it), so a call pays no fork and no join.  A worker's state
+   lives for one call (:func:`_enter_run`).  A worker sees the parent's
+   modules as they were at the fork: a patch made after the fork does
+   not reach it, so patch after :func:`shutdown_pool`.  A worker that
+   dies breaks the pool; the call drops it, forks a fresh one and
+   resubmits its unfinished units, once.
 
 Each unit runs with a fresh :class:`RuleTracker` and the per-unit
 counts are merged back into the parent tool's tracker (rule counters
@@ -45,12 +53,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.evm.predecode import clear_program_cache
 from repro.obs import (
     LEDGER_SCHEMA_VERSION,
     NULL_REGISTRY,
@@ -66,6 +77,7 @@ from repro.sigrec.cache import (
     ResultCache,
     options_fingerprint,
 )
+from repro.sigrec.expr import clear_default_arena
 from repro.sigrec.selectors import extract_selectors
 
 #: Default selector count above which one contract splits into several
@@ -78,33 +90,98 @@ DEFAULT_UNIT_SIZE = 8
 #: (job index, unit index, bytecode, only, exclude).
 _Unit = Tuple[int, int, bytes, Optional[FrozenSet[int]], FrozenSet[int]]
 
+#: The process's one worker pool and its worker count (:func:`_pool`);
+#: the lock makes getting, replacing and dropping the pool atomic.
+_POOL: Optional[ProcessPoolExecutor] = None
+_POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
+
+#: True in a pool worker: its initializer sets it.
+_IN_WORKER = False
+
+#: The run token of the ``recover_all`` call whose units this process
+#: ran last (:func:`_enter_run`).
+_RUN_TOKEN: Optional[str] = None
+
 #: Per-process shared memo stores: (store kind, fingerprint, directory)
-#: -> (run token, store).  Living at module level makes the stores
-#: survive across the many short-lived ``SigRec`` instances a worker
-#: constructs — that persistence is the whole point: the Nth unit with a
-#: familiar function body skips its TASE shard (function memo) or its
-#: inference (inference memo).  The token scopes the *memory* tier to
-#: one ``recover_all`` call: a forked worker inherits the parent's module
-#: state, so without the token a serial run would pre-warm a later
-#: parallel run's workers and serial/parallel counter aggregates would
-#: silently diverge.  Cross-run reuse is the on-disk tier's job
-#: (``memo_dir``), which is deliberately token-free.
-_WORKER_STORES: Dict[
-    Tuple[type, str, Optional[str]], Tuple[str, ContentStore]
-] = {}
+#: -> store.  Living at module level makes the stores survive across the
+#: many short-lived ``SigRec`` instances a worker constructs — that
+#: persistence is the whole point: the Nth unit with a familiar function
+#: body skips its TASE shard (function memo) or its inference (inference
+#: memo).  They live for one ``recover_all`` call (:func:`_enter_run`);
+#: cross-run reuse is the on-disk tier's job (``memo_dir``).
+_WORKER_STORES: Dict[Tuple[type, str, Optional[str]], ContentStore] = {}
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, made on first use.
+
+    A pool of another size is shut down first.  ``concurrent.futures``
+    joins the workers of the live pool at interpreter exit.
+    """
+    global _POOL, _POOL_WORKERS
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL_WORKERS != workers:
+            _POOL.shutdown()
+            _POOL = None
+        if _POOL is None:
+            _POOL = ProcessPoolExecutor(
+                max_workers=workers, initializer=_mark_worker
+            )
+            _POOL_WORKERS = workers
+        return _POOL
+
+
+def shutdown_pool() -> None:
+    """Shut down and forget the process's worker pool, if there is one.
+
+    The next parallel drain forks a fresh pool, which sees the parent's
+    modules as they are then — a patch that pool workers must see has
+    to be made after this call.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _enter_run(token: str) -> None:
+    """The one lifetime rule for what a process keeps between units.
+
+    The first unit carrying a new run token drops every held memo store,
+    so a store's memory tier serves one call and a finished call's
+    stores are freed.  In a pool worker it also empties the program
+    cache and the default expression arena: the pool outlives the call,
+    and without the token a worker would start the next call warmer
+    than a freshly forked one (serial and parallel counter aggregates
+    could diverge) and hold what every earlier call left behind.  The
+    serial path keeps its program cache, which holds the decodes that
+    ``_units_for`` made for this very call.
+    """
+    global _RUN_TOKEN
+    if token == _RUN_TOKEN:
+        return
+    _RUN_TOKEN = token
+    _WORKER_STORES.clear()
+    if _IN_WORKER:
+        clear_program_cache()
+        clear_default_arena()
 
 
 def _worker_store(
-    kind: type,
-    options: Dict[str, object],
-    memo_dir: Optional[str],
-    token: str,
+    kind: type, options: Dict[str, object], memo_dir: Optional[str]
 ) -> ContentStore:
     key = (kind, options_fingerprint(options), memo_dir)
-    held = _WORKER_STORES.get(key)
-    if held is None or held[0] != token:
-        held = _WORKER_STORES[key] = (token, kind(options, directory=memo_dir))
-    return held[1]
+    store = _WORKER_STORES.get(key)
+    if store is None:
+        store = _WORKER_STORES[key] = kind(options, directory=memo_dir)
+    return store
 
 
 @dataclass(frozen=True)
@@ -150,6 +227,7 @@ def _analyze_unit(
     ship-the-document pattern as the metrics registry.
     """
     job_index, unit_index, bytecode, only, exclude = unit
+    _enter_run(token)
     registry = MetricsRegistry() if collect_metrics else None
     ledger = RunLedger() if obs_opts.get("ledger") else None
     profiler_mode = obs_opts.get("profiler")
@@ -162,7 +240,7 @@ def _analyze_unit(
         (FunctionMemo, tool.memo), (InferenceMemo, tool.inference_memo)
     ):
         if enabled:
-            store = _worker_store(kind, options, memo_dir, token)
+            store = _worker_store(kind, options, memo_dir)
             tool.attach_store(store)
             # The shared store reports into whichever unit is running; a
             # worker processes one unit at a time, so this is race-free.
@@ -505,21 +583,45 @@ class BatchRecovery:
     def _drain_parallel(
         self, analyze, units: List[_Unit]
     ) -> List[UnitOutcome]:
-        """Shared-queue draining: submit every unit, collect as done.
+        """Shared-queue draining on the process's pool: submit every
+        unit, collect as done.
 
         ``submit``/``as_completed`` *is* the work-stealing: the executor
         keeps one shared queue and any idle worker takes the next unit,
         so a straggler contract delays only the worker chewing on it.
+        The call leaves the pool idle: on any error it cancels the units
+        not yet started and waits for the running ones before it raises.
+        A dead worker breaks the pool, which is then dropped; the call
+        forks a fresh one and resubmits the units with no outcome yet,
+        once.  A second break raises with the pool already dropped.
         """
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(analyze, unit): position
-                for position, unit in enumerate(units)
-            }
-            outcomes: List[UnitOutcome] = [None] * len(units)  # type: ignore
-            for future in as_completed(futures):
-                outcomes[futures[future]] = future.result()
-        return outcomes
+        outcomes: List[UnitOutcome] = [None] * len(units)  # type: ignore
+        retried = False
+        while True:
+            futures: Dict[Future, int] = {}
+            try:
+                pool = _pool(self.workers)
+                for position, outcome in enumerate(outcomes):
+                    if outcome is None:
+                        futures[pool.submit(analyze, units[position])] = (
+                            position
+                        )
+                for future in as_completed(futures):
+                    outcomes[futures[future]] = future.result()
+                return outcomes
+            except BrokenProcessPool:
+                shutdown_pool()  # every future is done now
+                if retried:
+                    raise
+                retried = True
+                for future, position in futures.items():
+                    if future.exception() is None:
+                        outcomes[position] = future.result()
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                wait(futures)
+                raise
 
     def _assemble(
         self,

@@ -439,6 +439,18 @@ class ExprArena:
 _DEFAULT_ARENA = ExprArena(max_interned=65536)
 
 
+def clear_default_arena() -> None:
+    """Forget every node the default arena interned.
+
+    The nodes stay valid and equal to later ones; they are just no
+    longer shared, so no result changes.  Inference interns nodes over
+    an engine's expressions here, so a long-lived process clears it to
+    stop holding finished work.
+    """
+    _DEFAULT_ARENA._consts.clear()
+    _DEFAULT_ARENA._nodes.clear()
+
+
 def const(value: int) -> Expr:
     return _DEFAULT_ARENA.const(value)
 

@@ -1,5 +1,7 @@
 """``repro report`` tests: sections, parity, rendering."""
 
+import re
+
 import pytest
 
 from repro.abi.signature import FunctionSignature
@@ -149,6 +151,19 @@ def test_render_report_has_every_section(run_sources):
     assert "tier hit rates" in text
     assert "run ledger: 2 records" in text
     assert "slowest recoveries" in text
+
+
+def test_phase_rows_align_their_seconds_column(run_sources):
+    doc, records = run_sources
+    report = build_report(metrics_doc=doc, ledger_records=records)
+    assert "analysis.dispatcher" in report["phases"]  # 19 characters
+    lines = render_report(report).splitlines()
+    first = lines.index(
+        "phase time attribution (share of the top-level phases)"
+    ) + 1
+    rows = lines[first:first + len(report["phases"])]
+    ends = {re.search(r"\d\.\d{3}s", row).end() for row in rows}
+    assert len(ends) == 1
 
 
 def test_render_empty_report():

@@ -1,8 +1,18 @@
 """Parallel batch recovery: worker-pool results must be byte-identical
-to the serial path — same signatures, same merged rule-usage counts."""
+to the serial path — same signatures, same merged rule-usage counts —
+on every call of the process's one pool, and through a worker's death."""
+
+import json
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from repro.abi.signature import FunctionSignature, Visibility
 from repro.compiler import compile_contract
+from repro.evm import predecode
+from repro.sigrec import batch, expr
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery, BatchStats
 
@@ -27,17 +37,65 @@ def _essence(results):
     ]
 
 
+def _run(codes, workers):
+    """Results, merged rule counts and memo probes of one call.  The
+    corpora here share no function body, so every probe is a miss unless
+    a store outlived its call."""
+    runner = BatchRecovery(tool=SigRec(), workers=workers)
+    results = runner.recover_all(codes)
+    stats = runner.stats
+    return (
+        _essence(results),
+        runner.tool.tracker.counts,
+        (stats.memo_hits, stats.memo_misses),
+    )
+
+
+@pytest.fixture()
+def fresh_pool():
+    """A patch reaches pool workers only through a fork: drop the pool
+    before the test patches, and again so that no later test inherits a
+    patched worker."""
+    batch.shutdown_pool()
+    yield
+    batch.shutdown_pool()
+
+
+def _dies_on(victim, flag=None):
+    """A ``SigRec.recover`` whose pool worker exits on ``victim``: every
+    time, or only while ``flag`` does not exist (creating it)."""
+    recover = SigRec.recover
+
+    def dying(self, bytecode, **kwargs):
+        if (
+            bytecode == victim
+            and batch._IN_WORKER
+            and (flag is None or not flag.exists())
+        ):
+            if flag is not None:
+                flag.touch()
+            # Exit only once the parent has submitted every unit: the
+            # executor marks itself broken without its submit lock, so a
+            # unit submitted at that moment could be lost.
+            time.sleep(0.2)
+            os._exit(1)
+        return recover(self, bytecode, **kwargs)
+
+    return dying
+
+
 def test_parallel_matches_serial():
     a, b, c = _codes()
     codes = [a, b, a, c, b, a]
 
-    serial_tool = SigRec()
-    serial = serial_tool.recover_batch(codes, workers=0)
-    parallel_tool = SigRec()
-    parallel = parallel_tool.recover_batch(codes, workers=4)
-
-    assert _essence(serial) == _essence(parallel)
-    assert serial_tool.tracker.counts == parallel_tool.tracker.counts
+    serial = _run(codes, workers=0)
+    assert serial[2][1] > 0  # the memo was probed
+    assert _run(codes, workers=4) == serial
+    pool = batch._POOL
+    assert pool is not None
+    # The second call runs on the first call's pool, and still as cold.
+    assert _run(codes, workers=4) == serial
+    assert batch._POOL is pool
 
 
 def test_batch_recovery_matches_plain_recover_batch():
@@ -105,3 +163,77 @@ def test_warm_cache_throughput_renders_na_not_zero():
     # A measurable run still reports the real figure.
     normal = BatchStats(total=10, elapsed_seconds=2.0)
     assert "5 contracts/s" in normal.summary()
+
+
+def test_worker_death_is_retried_once(fresh_pool, monkeypatch, tmp_path):
+    a, b, c = _codes()
+    codes = [a, b, c, a]
+    serial = _run(codes, workers=0)
+    flag = tmp_path / "died"
+    monkeypatch.setattr(SigRec, "recover", _dies_on(b, flag))
+    assert _run(codes, workers=2) == serial
+    assert flag.exists()
+
+
+def test_second_worker_death_raises_and_next_call_forks_afresh(
+    fresh_pool, monkeypatch
+):
+    a, b, c = _codes()
+    codes = [a, b, c]
+    serial = _run(codes, workers=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(SigRec, "recover", _dies_on(b))
+        with pytest.raises(BrokenProcessPool):
+            _run(codes, workers=2)
+    assert batch._POOL is None
+    assert _run(codes, workers=2) == serial
+
+
+def test_finished_calls_free_their_memo_stores(tmp_path):
+    a, b, _ = _codes()
+    for name in ("one", "two", "three"):
+        runner = BatchRecovery(
+            tool=SigRec(), workers=0, cache_dir=str(tmp_path / name)
+        )
+        runner.recover_all([a, b])
+    assert len(batch._WORKER_STORES) == 1
+
+
+def test_pool_worker_keeps_nothing_of_an_earlier_call(
+    fresh_pool, monkeypatch, tmp_path
+):
+    first = list(_codes())
+    second = [
+        compile_contract([FunctionSignature.parse(sig)]).bytecode
+        for sig in ("d(bool)", "e(string)", "f(uint16[])")
+    ]
+    log = tmp_path / "held"
+    recover = SigRec.recover
+
+    def logging_recover(self, bytecode, **kwargs):
+        held = {
+            "pid": os.getpid(),
+            "programs": [code.hex() for code in predecode._PROGRAM_CACHE],
+            "nodes": len(expr._DEFAULT_ARENA._nodes),
+        }
+        with open(log, "a") as handle:
+            handle.write(json.dumps(held) + "\n")
+        return recover(self, bytecode, **kwargs)
+
+    monkeypatch.setattr(SigRec, "recover", logging_recover)
+    BatchRecovery(tool=SigRec(), workers=2).recover_all(first)
+    pool = batch._POOL
+    assert pool is not None
+    log.unlink()
+    BatchRecovery(tool=SigRec(), workers=2).recover_all(second)
+    assert batch._POOL is pool
+    held = [json.loads(line) for line in log.read_text().splitlines()]
+    programs = {code for entry in held for code in entry["programs"]}
+    # Three units on two workers: one worker ran two, so it logged the
+    # first one's program, and nothing from the first call.
+    assert programs and not programs & {code.hex() for code in first}
+    # Each worker's first unit of the call starts with an empty arena.
+    firsts = {}
+    for entry in held:
+        firsts.setdefault(entry["pid"], entry["nodes"])
+    assert set(firsts.values()) == {0}
