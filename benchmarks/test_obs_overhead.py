@@ -23,7 +23,7 @@ from repro.corpus.datasets import (
     build_vyper_corpus,
 )
 from repro.corpus.signatures import SignatureGenerator
-from repro.obs import NULL_REGISTRY, NULL_TRACER, RunLedger
+from repro.obs import NULL_REGISTRY, RunLedger
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.engine import TASEEngine
@@ -75,7 +75,7 @@ def _instrumented_pass(bytecodes):
         tool = SigRec(
             static_check=False, memo=False, inference_memo=False,
         )
-        assert tool.metrics is NULL_REGISTRY and tool.tracer is NULL_TRACER
+        assert tool.metrics is NULL_REGISTRY
         recovered += len(tool.recover(code))
     return recovered
 

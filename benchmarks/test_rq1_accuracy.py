@@ -3,10 +3,19 @@
 Paper: 98.7% overall — 98.74% over 210,869 Solidity signatures and
 97.77% over 1,076 Vyper signatures; the errors fall into five
 documented cases.
+
+The gate is this reproduction's committed figure
+(``benchmarks/results/rq1_accuracy.txt``), not a loose floor: a change
+may raise the correct counts but never lower them, and every error
+must be one of the documented cases.
 """
 
 from repro.corpus.evaluate import evaluate_corpus
 from repro.sigrec.api import SigRec
+
+#: (correct, total) functions at the committed figure.
+SOLIDITY_FIGURE = (1118, 1139)
+VYPER_FIGURE = (290, 301)
 
 
 def test_rq1_overall_accuracy(benchmark, open_corpus, vyper_corpus, record):
@@ -34,12 +43,18 @@ def test_rq1_overall_accuracy(benchmark, open_corpus, vyper_corpus, record):
     )
     benchmark.extra_info["overall_accuracy"] = overall
 
-    # Shape assertions: high accuracy, and every error is one of the
-    # paper's documented cases.
-    assert overall > 0.95
-    assert sol.accuracy > 0.95
-    assert vy.accuracy > 0.95
+    # No fewer correct functions than the committed figure, and every
+    # error is one of the paper's documented cases.
+    assert sol.total == SOLIDITY_FIGURE[1] and vy.total == VYPER_FIGURE[1]
+    assert sol.correct >= SOLIDITY_FIGURE[0], (
+        f"solidity {sol.correct}/{sol.total}, committed "
+        f"{SOLIDITY_FIGURE[0]}/{SOLIDITY_FIGURE[1]}"
+    )
+    assert vy.correct >= VYPER_FIGURE[0], (
+        f"vyper {vy.correct}/{vy.total}, committed "
+        f"{VYPER_FIGURE[0]}/{VYPER_FIGURE[1]}"
+    )
     unexplained = [
         o for o in sol.outcomes + vy.outcomes if not o.correct and o.quirk is None
     ]
-    assert len(unexplained) <= 0.01 * total
+    assert not unexplained

@@ -3,19 +3,23 @@
 The storage pass, run over corpora whose compiled contracts carry
 ground-truth layouts (packed slots, nested mappings, dynamic arrays),
 must identify slot, intra-slot offset/width, kind, rendered type and
-mapping depth for at least 95% of variables.  The measured number
+mapping depth for every variable: the committed figure is 210/210
+(``benchmarks/results/storage_accuracy.txt``).  The measured number
 feeds ``EXPERIMENTS.md``.
 
 Cold recovery never runs the storage pass: ``recover`` pulls only
-cfg, jumps and dispatcher, which
-``tests/sigrec/test_obs_integration.py`` pins span by span.  The
-pass's cost is visible as perfbench's traced ``analysis.storage.s``.
+cfg and dispatcher, which ``tests/sigrec/test_obs_integration.py``
+pins pass by pass.  The pass's cost is visible as perfbench's traced
+``analysis.storage.s``.
 """
 
 from repro.analysis import analyze
 from repro.corpus.datasets import build_clone_corpus, build_storage_corpus
 
-ACCURACY_FLOOR = 0.95
+#: Ground-truth variables per corpus at the committed figure; every
+#: one must be recovered.
+STORAGE_VARIABLES = 110
+CLONE_VARIABLES = 100
 
 
 def _score(corpus):
@@ -63,7 +67,7 @@ def test_storage_layout_accuracy(benchmark, record, bench_json):
             f"clone corpus (storage_rate=0.5): {c_hit}/{c_total} "
             f"({c_hit / c_total:.1%}) over {len(clone_corpus.cases)} "
             "contracts",
-            f"overall: {accuracy:.1%} (floor {ACCURACY_FLOOR:.0%})",
+            f"overall: {accuracy:.1%} (gate: every variable)",
         ],
     )
     bench_json(
@@ -73,8 +77,8 @@ def test_storage_layout_accuracy(benchmark, record, bench_json):
             "layout_accuracy": round(accuracy, 4),
         },
     )
-    assert s_total and c_total
-    assert accuracy >= ACCURACY_FLOOR, (
+    assert (s_total, c_total) == (STORAGE_VARIABLES, CLONE_VARIABLES)
+    assert not s_miss + c_miss, (
         f"layout accuracy {accuracy:.1%}; first misses: "
         f"{(s_miss + c_miss)[:3]}"
     )

@@ -23,9 +23,10 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
   :mod:`repro.sigrec.cache`) — bumping one pass invalidates exactly the
   results that could depend on it;
 * every pass runs under a :func:`repro.obs.phase_span`
-  (``analysis.<name>`` spans and ``phase.seconds`` histograms) inside a
-  ``static_analysis`` phase span, so a trace shows where
-  static-analysis time goes per pass, not as one opaque blob.
+  (a ``phase.seconds{phase=analysis.<name>}`` sample and one
+  ``analysis.pass_runs`` count) inside a ``static_analysis`` phase, so
+  the metrics show where static-analysis time goes per pass, not as
+  one opaque blob.
 
 The default pipeline (:data:`DEFAULT_PIPELINE`) is::
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, SpanTracer, phase_span
+from repro.obs import NULL_REGISTRY, MetricsRegistry, phase_span
 
 
 @dataclass(frozen=True)
@@ -81,27 +82,26 @@ class AnalysisContext:
     """Shared per-bytecode state: the input bytes plus pass products.
 
     A product is computed on first access: ``ctx[name]`` runs the pass
-    providing ``name`` — after its ``requires``, so each pass span times
+    providing ``name`` — after its ``requires``, so each pass phase times
     that pass alone — and caches the result.  Each such computation
-    runs under one ``static_analysis`` phase span, so a pass first read
-    by ``profile()`` long after ``recover()`` still sits in the phase
-    tree.  A runner's reads of its declared ``requires`` are cache hits.
+    runs under one ``static_analysis`` phase, so a pass first read by
+    ``profile()`` long after ``recover()`` is still timed inside one of
+    the top-level phases.  A runner's reads of its declared
+    ``requires`` are cache hits.
     """
 
-    __slots__ = ("bytecode", "products", "_passes", "_metrics", "_tracer")
+    __slots__ = ("bytecode", "products", "_passes", "_metrics")
 
     def __init__(
         self,
         bytecode: bytes,
         pipeline: Iterable[AnalysisPass] = (),
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.bytecode = bytecode
         self.products: Dict[str, object] = {}
         self._passes = {pass_.name: pass_ for pass_ in pipeline}
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def __getitem__(self, name: str) -> object:
         try:
@@ -116,7 +116,7 @@ class AnalysisContext:
 
     def pull(self, *names: str) -> None:
         """Compute ``names`` and everything they require, now."""
-        with phase_span(self._metrics, self._tracer, "static_analysis"):
+        with phase_span(self._metrics, "static_analysis"):
             for name in names:
                 self._compute(name)
 
@@ -131,7 +131,7 @@ class AnalysisContext:
             )
         for requirement in pass_.requires:
             self._compute(requirement)
-        with phase_span(self._metrics, self._tracer, f"analysis.{name}"):
+        with phase_span(self._metrics, f"analysis.{name}"):
             product = pass_.run(self)
         self._metrics.counter("analysis.pass_runs", **{"pass": name}).inc()
         self.products[name] = product
@@ -178,10 +178,9 @@ class AnalysisPipeline:
         self,
         bytecode: bytes,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
     ) -> AnalysisContext:
         """A context over ``bytecode`` with every pass already run."""
-        context = AnalysisContext(bytecode, self, metrics, tracer)
+        context = AnalysisContext(bytecode, self, metrics)
         context.pull(*self.names())
         return context
 

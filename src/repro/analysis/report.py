@@ -44,7 +44,7 @@ from repro.analysis.reachability import ReachabilityReport, region_preimage
 from repro.analysis.returns import ReturnsReport
 from repro.analysis.stackcheck import Finding, StackReport
 from repro.analysis.storage import StorageLayout
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs import MetricsRegistry
 
 
 #: Opcodes that can appear in a block provably free of TASE events.
@@ -170,17 +170,16 @@ class ContractAnalysis:
 def analyze(
     bytecode: bytes,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[SpanTracer] = None,
 ) -> ContractAnalysis:
     """The static analysis of ``bytecode`` under the default pipeline.
 
     Runs the passes every consumer reads (cfg, dispatcher); the rest,
     the jump fixpoint included, run when the returned view's product is
-    first read.  ``metrics``/``tracer`` flow to the per-pass phase
-    spans.
+    first read.  ``metrics`` receives each pass's ``phase.seconds``
+    sample and ``analysis.pass_runs`` count.
     """
     return ContractAnalysis(
-        AnalysisContext(bytecode, default_pipeline(), metrics, tracer)
+        AnalysisContext(bytecode, default_pipeline(), metrics)
     )
 
 

@@ -159,7 +159,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.profile_hotspots:
         from repro.obs import HotLoopProfiler
 
-        profiler = HotLoopProfiler(mode=args.profile_hotspots)
+        profiler = HotLoopProfiler()
     try:
         tool = SigRec(
             memo=args.memo,
@@ -666,9 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="append one run-ledger JSONL record per recovery to FILE",
     )
     p.add_argument(
-        "--profile-hotspots", choices=["count", "sample"], default=None,
-        help="attribute TASE steps to superblock entry pcs "
-        "(count = exact, sample = cheap every-Nth-step)",
+        "--profile-hotspots", action="store_true", default=False,
+        help="attribute TASE steps to superblock entry pcs",
     )
     p.add_argument(
         "--serve-metrics", type=int, default=None, metavar="PORT",

@@ -156,7 +156,7 @@ def read_ledger(path: str) -> List[dict]:
     """Parse a ledger (including rotated backups), oldest record first.
 
     Malformed lines — e.g. a final line truncated mid-write — are
-    skipped, like :func:`repro.obs.trace.read_trace`.
+    skipped.
     """
     records: List[dict] = []
     for chunk in ledger_paths(path):

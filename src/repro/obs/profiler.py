@@ -9,22 +9,16 @@ That granularity keeps the disabled cost to one ``is not None`` check
 per superblock — the per-step hot path never sees the profiler — which
 is how the <3% disabled-overhead gate holds.
 
-Two modes:
-
-* ``"count"`` — exact: the per-pc tallies sum to precisely the steps
-  the driver charged (``sum(counts.values()) == TASEResult.total_steps``
-  for a single run), the mode tests and ``repro report`` use;
-* ``"sample"`` — every ``interval`` executed steps one sample of
-  ``interval`` steps is attributed to the block that crossed the
-  threshold.  Cheaper bookkeeping per call and statistically the same
-  table on hot contracts: the production mode.
+Attribution is exact: the per-pc tallies sum to precisely the steps
+the driver charged (``sum(counts.values()) == TASEResult.total_steps``
+for a single run).
 
 Per-instruction tracing is the engine's ``step_hook``, not the profiler.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 __all__ = [
     "HotLoopProfiler",
@@ -36,44 +30,26 @@ __all__ = [
 class HotLoopProfiler:
     """Attributes executed TASE steps to superblock entry pcs."""
 
-    __slots__ = ("mode", "interval", "counts", "_credit")
+    __slots__ = ("counts",)
 
-    def __init__(self, mode: str = "count", interval: int = 256) -> None:
-        if mode not in ("count", "sample"):
-            raise ValueError(f"unknown profiler mode: {mode!r}")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.mode = mode
-        self.interval = interval
+    def __init__(self) -> None:
         #: superblock entry pc -> attributed steps.
         self.counts: Dict[int, int] = {}
-        self._credit = interval
 
     def record_block(self, pc: int, steps: int) -> None:
         """Charge ``steps`` driver steps to the block entered at ``pc``.
 
         Called by the driver once per superblock transition — never per
-        step — so even counting mode costs one dict update per block.
+        step — so it costs one dict update per block.
         """
-        if self.mode == "count":
-            counts = self.counts
-            counts[pc] = counts.get(pc, 0) + steps
-            return
-        credit = self._credit - steps
-        if credit > 0:
-            self._credit = credit
-            return
-        interval = self.interval
-        samples = 1 + (-credit) // interval
-        self._credit = credit + samples * interval
         counts = self.counts
-        counts[pc] = counts.get(pc, 0) + samples * interval
+        counts[pc] = counts.get(pc, 0) + steps
 
     # -- aggregation ---------------------------------------------------
 
     @property
     def total_steps(self) -> int:
-        """Steps attributed so far (exact in counting mode)."""
+        """Steps attributed so far."""
         return sum(self.counts.values())
 
     def snapshot(self) -> Dict[int, int]:
@@ -97,7 +73,6 @@ class HotLoopProfiler:
 
     def clear(self) -> None:
         self.counts.clear()
-        self._credit = self.interval
 
     def top(self, n: int = 10) -> List[Tuple[int, int]]:
         """The ``n`` hottest blocks as ``(entry pc, steps)``."""
@@ -105,7 +80,7 @@ class HotLoopProfiler:
 
     def render_table(self, n: int = 10) -> str:
         """The per-contract top-N hotspot table."""
-        return render_hotspots(self.counts, n, mode=self.mode)
+        return render_hotspots(self.counts, n)
 
 
 def top_hotspots(counts: Mapping[int, int], n: int = 10) -> List[Tuple[int, int]]:
@@ -114,15 +89,10 @@ def top_hotspots(counts: Mapping[int, int], n: int = 10) -> List[Tuple[int, int]
     return ranked[:n]
 
 
-def render_hotspots(
-    counts: Mapping[int, int], n: int = 10, mode: Optional[str] = None
-) -> str:
+def render_hotspots(counts: Mapping[int, int], n: int = 10) -> str:
     """Human rendering of a hotspot table."""
     total = sum(counts.values())
-    title = "hot superblocks"
-    if mode == "sample":
-        title += " (sampled)"
-    lines = [f"{title}: {total:,} steps over {len(counts)} blocks"]
+    lines = [f"hot superblocks: {total:,} steps over {len(counts)} blocks"]
     if not total:
         return lines[0] + "\n"
     for pc, steps in top_hotspots(counts, n):

@@ -20,11 +20,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.analysis.report import ContractAnalysis, Diagnostic, analyze, cross_check
 from repro.obs import (
     NULL_REGISTRY,
-    NULL_TRACER,
     HotLoopProfiler,
     MetricsRegistry,
     RunLedger,
-    SpanTracer,
     phase_span,
 )
 from repro.obs.ledger import phase_delta, phase_snapshot
@@ -112,7 +110,6 @@ class SigRec:
         memo_dir: Optional[str] = None,
         inference_memo: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
         ledger: Optional[RunLedger] = None,
         profiler: Optional[HotLoopProfiler] = None,
     ) -> None:
@@ -123,7 +120,6 @@ class SigRec:
         # changes what is recovered, so it must not perturb cache
         # fingerprints.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.ledger = ledger
         self.profiler = profiler
         if ledger is not None and self.metrics is NULL_REGISTRY:
@@ -239,28 +235,26 @@ class SigRec:
         shard planner, the cross-check, ``abi``, ``profile`` — shares
         it.  A miss runs only cfg/dispatcher; the passes sharding,
         ``abi`` and ``profile`` read run on their first read, each at
-        most once per bytecode.  Every pass run records its span under a
-        ``static_analysis`` phase span.
+        most once per bytecode.  Every pass run is timed inside a
+        ``static_analysis`` phase.
         """
         digest = hashlib.sha256(bytecode).digest()
         analysis = self._analysis_memo.get(digest)
         if analysis is None:
-            analysis = analyze(
-                bytecode, metrics=self.metrics, tracer=self.tracer
-            )
+            analysis = analyze(bytecode, metrics=self.metrics)
             self._analysis_memo.put(digest, analysis)
         return analysis
 
     def _run_engine(self, bytecode: bytes) -> TASEResult:
         """Run TASE and remember the result for a follow-up ``explain``."""
-        with phase_span(self.metrics, self.tracer, "disasm"):
+        with phase_span(self.metrics, "disasm"):
             engine = TASEEngine(
                 bytecode,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,
             )
-        with phase_span(self.metrics, self.tracer, "tase"):
+        with phase_span(self.metrics, "tase"):
             result = engine.run()
         self._result_memo.put(hashlib.sha256(bytecode).digest(), result)
         return result
@@ -295,9 +289,7 @@ class SigRec:
                 hot_before = self.profiler.snapshot()
             started = time.perf_counter()
         self._last_memo = (0, 0)
-        with phase_span(
-            self.metrics, self.tracer, "recover", bytes=len(bytecode)
-        ):
+        with phase_span(self.metrics, "recover"):
             sharding = self._shards(partial)
             analysis: Optional[ContractAnalysis] = None
             if self.static_check or sharding:
@@ -455,14 +447,14 @@ class SigRec:
         memo = self.function_memo()
         hits: Dict[int, object] = {}
         miss_keys: Dict[int, str] = {}
-        with phase_span(self.metrics, self.tracer, "disasm"):
+        with phase_span(self.metrics, "disasm"):
             engine = TASEEngine(
                 bytecode,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,
             )
-        with phase_span(self.metrics, self.tracer, "tase"):
+        with phase_span(self.metrics, "tase"):
             parts: List[TASEResult] = []
             for selector in wanted:
                 if memo is not None:
@@ -519,7 +511,7 @@ class SigRec:
         pred_memo = PredicateMemo()
         recovered: List[RecoveredSignature] = []
         inf_hits = inf_misses = 0
-        with phase_span(self.metrics, self.tracer, "inference"):
+        with phase_span(self.metrics, "inference"):
             for selector in result.selectors:
                 if not _passes(selector, only, exclude):
                     continue

@@ -46,7 +46,7 @@ Telemetry rides the tool's backends the same way: worker metrics
 documents merge into the tool's registry, and the run ledger gets one
 record per unit (tagged with its ``job``/``unit``) plus one per
 result-cache hit.  That ledger record is the batch's only per-recovery
-record; a batch writes nothing to a span tracer.
+record.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from repro.sigrec.cache import (
     ResultCache,
     options_fingerprint,
 )
-from repro.sigrec.expr import clear_default_arena
 from repro.sigrec.selectors import extract_selectors
 
 #: Default selector count above which one contract splits into several
@@ -157,12 +156,11 @@ def _enter_run(token: str) -> None:
     The first unit carrying a new run token drops every held memo store,
     so a store's memory tier serves one call and a finished call's
     stores are freed.  In a pool worker it also empties the program
-    cache and the default expression arena: the pool outlives the call,
-    and without the token a worker would start the next call warmer
-    than a freshly forked one (serial and parallel counter aggregates
-    could diverge) and hold what every earlier call left behind.  The
-    serial path keeps its program cache, which holds the decodes that
-    ``_units_for`` made for this very call.
+    cache: the pool outlives the call, and without the token a worker
+    would start the next call warmer than a freshly forked one (serial
+    and parallel counter aggregates could diverge) and hold what every
+    earlier call left behind.  The serial path keeps its program cache,
+    which holds the decodes that ``_units_for`` made for this very call.
     """
     global _RUN_TOKEN
     if token == _RUN_TOKEN:
@@ -171,7 +169,6 @@ def _enter_run(token: str) -> None:
     _WORKER_STORES.clear()
     if _IN_WORKER:
         clear_program_cache()
-        clear_default_arena()
 
 
 def _worker_store(
@@ -221,19 +218,16 @@ def _analyze_unit(
     metrics-free runs.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
-    (run-ledger records) and ``"profiler"`` (a mode string enabling
-    hot-loop attribution).  Whatever is enabled rides home in ``obs``
-    as plain lists/dicts, merged additively by the parent — the same
-    ship-the-document pattern as the metrics registry.
+    (run-ledger records) and ``"profiler"`` (hot-loop attribution).
+    Whatever is enabled rides home in ``obs`` as plain lists/dicts,
+    merged additively by the parent — the same ship-the-document
+    pattern as the metrics registry.
     """
     job_index, unit_index, bytecode, only, exclude = unit
     _enter_run(token)
     registry = MetricsRegistry() if collect_metrics else None
     ledger = RunLedger() if obs_opts.get("ledger") else None
-    profiler_mode = obs_opts.get("profiler")
-    profiler = (
-        HotLoopProfiler(mode=profiler_mode) if profiler_mode else None
-    )
+    profiler = HotLoopProfiler() if obs_opts.get("profiler") else None
     tool = SigRec(metrics=registry, ledger=ledger, profiler=profiler, **options)
     before = {}
     for kind, enabled in (
@@ -469,9 +463,7 @@ class BatchRecovery:
 
         obs_opts: Dict[str, object] = {
             "ledger": self.ledger is not None,
-            "profiler": (
-                self.profiler.mode if self.profiler is not None else None
-            ),
+            "profiler": self.profiler is not None,
         }
         analyze = partial(
             _analyze_unit,

@@ -29,7 +29,8 @@ their children are the *same objects*, label provenance is preserved by
 construction — no label-purity analysis is needed, unlike the old
 module-global caches.  The TASE engine owns one arena per contract
 (``TASEEngine.arena``); the module-level constructors below delegate to
-a bounded default arena for cold-path callers (inference probes, tests).
+a bounded default arena for cold-path callers (tests, the differential
+replay).
 """
 
 from __future__ import annotations
@@ -432,23 +433,12 @@ class ExprArena:
 
 
 #: The bounded default arena behind the module-level constructors.
-#: Cold-path callers (inference probes, rule tests) share it; the TASE
-#: hot path uses a per-engine arena instead.  Its contents only affect
+#: Cold-path callers (rule tests, the differential replay) share it;
+#: recovery never interns here — the TASE engine and inference build
+#: over arenas that die with their call.  Its contents only affect
 #: node *identity*, never labels or values, so a pre-filled arena
 #: inherited by a forked worker cannot change results.
 _DEFAULT_ARENA = ExprArena(max_interned=65536)
-
-
-def clear_default_arena() -> None:
-    """Forget every node the default arena interned.
-
-    The nodes stay valid and equal to later ones; they are just no
-    longer shared, so no result changes.  Inference interns nodes over
-    an engine's expressions here, so a long-lived process clears it to
-    stop holding finished work.
-    """
-    _DEFAULT_ARENA._consts.clear()
-    _DEFAULT_ARENA._nodes.clear()
 
 
 def const(value: int) -> Expr:

@@ -492,7 +492,11 @@ class TypeInference:
         cluster = _Cluster(position=loc_value, family="dynamic")
         cluster.labels.add(("cd", loc_value))
 
-        num_expr = E.calldata(E.binop("add", E.const(4), base))
+        # The num-field probe is built over ``base``, a node of the
+        # engine's per-contract arena, so it gets an arena of its own:
+        # a longer-lived one would keep the engine's nodes alive.
+        probes = E.ExprArena()
+        num_expr = probes.calldata(probes.binop("add", probes.const(4), base))
         num_idx = None
         derived_loads: List[int] = []
         for j in self._loads_deriving(load_idx):
@@ -521,7 +525,7 @@ class TypeInference:
 
         if derived_copies:
             return self._classify_dynamic_public(
-                cluster, base, num_expr, derived_copies, own_pcs
+                cluster, num_expr, derived_copies, own_pcs
             )
         return self._classify_dynamic_external(
             cluster, base, num_expr, num_idx, derived_loads, own_pcs
@@ -532,7 +536,6 @@ class TypeInference:
     def _classify_dynamic_public(
         self,
         cluster: _Cluster,
-        base: E.Expr,
         num_expr: E.Expr,
         copy_indexes: List[int],
         own_pcs: Set[int],
@@ -542,9 +545,9 @@ class TypeInference:
         first = copies[0]
 
         # Vyper R23: one copy of the num field *plus* the capped payload
-        # (source = offset + 4, i.e. including the num word) of constant
-        # length 32 + maxLen.
-        src_is_num_field = first.src == E.binop("add", E.const(4), base)
+        # (source = offset + 4, the location ``num_expr`` reads, i.e.
+        # including the num word) of constant length 32 + maxLen.
+        src_is_num_field = first.src == num_expr.args[0]
         if src_is_num_field and first.length.is_const and len(copy_pcs) == 1:
             # The cap itself (length - 32) is not part of the canonical
             # ABI type, so only bytes-vs-string needs deciding (R26).

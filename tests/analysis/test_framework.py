@@ -19,7 +19,7 @@ from repro.corpus.datasets import (
     build_obfuscated_corpus,
     build_vyper_corpus,
 )
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs import MetricsRegistry
 from repro.sigrec.api import SigRec
 
 
@@ -183,13 +183,9 @@ def test_analyze_default_carries_storage_and_lint():
 
 def test_pass_spans_and_counters_when_observing():
     metrics = MetricsRegistry()
-    tracer = SpanTracer()
-    DEFAULT_PIPELINE.run(_code(), metrics=metrics, tracer=tracer)
-    span_names = {
-        record["name"] for record in tracer.records
-        if record["type"] == "span_start"
-    }
+    DEFAULT_PIPELINE.run(_code(), metrics=metrics)
+    phases = metrics.histogram_sums("phase.seconds", "phase")
     for name in DEFAULT_PIPELINE.names():
-        assert f"analysis.{name}" in span_names
+        assert phases[f"analysis.{name}"][1] == 1, name
     runs = metrics.counter("analysis.pass_runs", **{"pass": "storage"}).value
     assert runs == 1

@@ -1,6 +1,4 @@
-"""Hot-loop profiler tests: exactness, neutrality, sampling bounds."""
-
-import pytest
+"""Hot-loop profiler tests: exactness, neutrality, aggregation."""
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
@@ -20,15 +18,8 @@ _CODE = _bytecode(
 )
 
 
-def test_bad_mode_and_interval_rejected():
-    with pytest.raises(ValueError):
-        HotLoopProfiler(mode="trace")
-    with pytest.raises(ValueError):
-        HotLoopProfiler(interval=0)
-
-
 def test_counting_mode_is_exact():
-    profiler = HotLoopProfiler(mode="count")
+    profiler = HotLoopProfiler()
     result = TASEEngine(_CODE, profiler=profiler).run()
     assert profiler.total_steps == result.total_steps
     assert profiler.counts  # attribution actually happened
@@ -42,35 +33,6 @@ def test_profiler_does_not_change_the_result():
     assert profiled.total_steps == plain.total_steps
     assert profiled.paths_explored == plain.paths_explored
     assert profiled.forks_taken == plain.forks_taken
-
-
-def test_sampling_mode_attribution_is_bounded():
-    interval = 64
-    profiler = HotLoopProfiler(mode="sample", interval=interval)
-    result = TASEEngine(_CODE, profiler=profiler).run()
-    # Sampled attribution is quantized to whole intervals and can't
-    # overshoot the true total by more than the leftover credit.
-    assert profiler.total_steps % interval == 0
-    assert abs(profiler.total_steps - result.total_steps) < interval
-    # Sampled hot set is a subset of the exact hot set.
-    exact = HotLoopProfiler(mode="count")
-    TASEEngine(_CODE, profiler=exact).run()
-    assert set(profiler.counts) <= set(exact.counts)
-
-
-def test_sample_mode_credit_spans_small_blocks():
-    profiler = HotLoopProfiler(mode="sample", interval=10)
-    for _ in range(7):
-        profiler.record_block(0x10, 3)  # 21 steps: 2 samples
-    assert profiler.counts == {0x10: 20}
-
-
-def test_sample_mode_charges_multiple_samples_for_huge_blocks():
-    profiler = HotLoopProfiler(mode="sample", interval=10)
-    profiler.record_block(0x20, 35)  # crosses thresholds 10, 20, 30
-    assert profiler.counts == {0x20: 30}
-    profiler.record_block(0x30, 5)  # the 5 leftover credit is consumed
-    assert profiler.counts == {0x20: 30, 0x30: 10}
 
 
 def test_snapshot_delta_and_merge():
@@ -99,8 +61,6 @@ def test_render_hotspots_table():
     text = render_hotspots({0x40: 75, 0x80: 25}, n=10)
     assert "hot superblocks: 100 steps over 2 blocks" in text
     assert "0x000040" in text and "75.0%" in text
-    sampled = HotLoopProfiler(mode="sample").render_table()
-    assert "(sampled)" in sampled
 
 
 def test_run_ledger_records_carry_hotspots():

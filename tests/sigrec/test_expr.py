@@ -151,3 +151,25 @@ def test_eval_const_full_tree():
     assert eval_const(expr) == 1
     expr_sym = E.Expr("lt", (E.env("i"), E.const(3)))
     assert eval_const(expr_sym) is None
+
+
+def test_recovery_interns_nothing_in_the_default_arena():
+    """Inference probes are built over nodes of the engine's arena; the
+    default arena outlives every call, so interning them there would
+    keep each contract's nodes alive after its recovery."""
+    from repro.abi.signature import FunctionSignature
+    from repro.compiler import compile_contract
+    from repro.sigrec.api import SigRec
+    from repro.sigrec.batch import BatchRecovery
+
+    dynamic, other = (
+        compile_contract([FunctionSignature.parse(sig)]).bytecode
+        for sig in ("f(bytes,uint256[])", "g(string)")
+    )
+    before = len(E._DEFAULT_ARENA)
+    assert [s.param_list for s in SigRec().recover(dynamic)] == [
+        "bytes,uint256[]"
+    ]
+    assert len(E._DEFAULT_ARENA) == before
+    BatchRecovery(tool=SigRec(), workers=0).recover_all([dynamic, other])
+    assert len(E._DEFAULT_ARENA) == before

@@ -2,11 +2,12 @@
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
-from repro.obs import NULL_REGISTRY, MetricsRegistry, SpanTracer
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import ResultCache
 from repro.sigrec.engine import TASEEngine
+from tests.sigrec.test_strategy import _pass_runs
 
 
 def _bytecode(*sigs):
@@ -37,66 +38,81 @@ def test_engine_without_registry_publishes_nothing():
 def test_recover_emits_phase_spans_and_rule_counters():
     code = _bytecode("a(uint8)", "b(bool)")
     registry = MetricsRegistry()
-    tracer = SpanTracer()
-    tool = SigRec(metrics=registry, tracer=tracer)
+    tool = SigRec(metrics=registry)
     recovered = tool.recover(code)
     assert recovered
     values = registry.counter_values()
     assert values["recover.calls"] == 1
     assert values["recover.functions"] == len(recovered)
     assert any(key.startswith("rules.fired{rule=") for key in values)
-    # Per-phase histograms, sampled only at phase boundaries.
-    histogram_keys = set(registry.to_dict()["histograms"])
+    # One (seconds, samples) per phase, taken only at phase boundaries.
+    # recover encloses the others, so their seconds fit inside its own.
+    phases = registry.histogram_sums("phase.seconds", "phase")
     for phase in ("recover", "static_analysis", "tase", "inference"):
-        assert f"phase.seconds{{phase={phase}}}" in histogram_keys
-    # The trace reconstructs the phase tree: recover is the root span.
-    starts = [r for r in tracer.records if r["type"] == "span_start"]
-    by_name = {r["name"]: r for r in starts}
-    assert by_name["recover"]["parent"] is None
-    for child in ("static_analysis", "tase", "inference"):
-        assert by_name[child]["parent"] == by_name["recover"]["id"]
+        assert phases[phase][1] == 1, phase
+    inner = sum(
+        phases[phase][0] for phase in ("static_analysis", "tase", "inference")
+    )
+    assert inner <= phases["recover"][0]
 
 
-def test_passes_pulled_after_recover_nest_under_static_analysis():
+def test_passes_pulled_after_recover_nest_under_static_analysis(monkeypatch):
     """recover() pulls exactly cfg and dispatcher — none when it
     neither shards nor cross-checks; profile() runs storage long after
-    recover(), and its span must still sit inside a static_analysis
-    phase span, one of the top-level phases ``repro report`` attributes
+    recover(), and it must still be timed inside a static_analysis
+    phase, one of the top-level phases ``repro report`` attributes
     shares to."""
+    import repro.obs as obs
     from repro.obs.report import _TOP_PHASES
 
     code = _bytecode("a(uint8)", "b(bool)")
-    core = {"analysis.cfg", "analysis.dispatcher"}
+    core = {"cfg": 1, "dispatcher": 1}
     for options, pulled in (
         ({}, core),
-        ({"static_check": False}, set()),
+        ({"static_check": False}, {}),
     ):
-        tracer = SpanTracer()
-        SigRec(tracer=tracer, **options).recover(code)
-        names = {r["name"] for r in tracer.records if r["type"] == "span_start"}
-        assert {n for n in names if n.startswith("analysis.")} == pulled, options
+        registry = MetricsRegistry()
+        SigRec(metrics=registry, **options).recover(code)
+        assert _pass_runs(registry) == pulled, options
 
-    tracer = SpanTracer()
-    tool = SigRec(metrics=MetricsRegistry(), tracer=tracer)
+    registry = MetricsRegistry()
+    tool = SigRec(metrics=registry)
     signatures = tool.recover(code)
-    starts = [r for r in tracer.records if r["type"] == "span_start"]
-    assert {
-        r["name"] for r in starts if r["name"].startswith("analysis.")
-    } == core
+    assert _pass_runs(registry) == core
+
+    open_phases = []
+    around_storage = []
+
+    class _OpenPhases(obs._PhaseSpan):
+        def __enter__(self):
+            if self._phase == "analysis.storage":
+                around_storage.append(tuple(open_phases))
+            open_phases.append(self._phase)
+            return super().__enter__()
+
+        def __exit__(self, exc_type, exc, tb):
+            open_phases.pop()
+            super().__exit__(exc_type, exc, tb)
+
+    monkeypatch.setattr(obs, "_PhaseSpan", _OpenPhases)
     tool.profile(code, signatures)
-    starts = [r for r in tracer.records if r["type"] == "span_start"]
-    by_id = {r["id"]: r for r in starts}
-    storage = [r for r in starts if r["name"] == "analysis.storage"]
-    assert len(storage) == 1
-    phase = by_id[storage[0]["parent"]]
-    assert phase["name"] == "static_analysis"
-    assert phase["name"] in _TOP_PHASES
-    assert phase["parent"] is None
+    assert around_storage == [("static_analysis",)]
+    assert "static_analysis" in _TOP_PHASES
+
+
+def test_null_registry_recover_builds_no_phase_span(monkeypatch):
+    import repro.obs as obs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a phase span was built for the null registry")
+
+    monkeypatch.setattr(obs, "_PhaseSpan", refuse)
+    assert SigRec().recover(_bytecode("a(uint8)", "b(bool)"))
 
 
 def test_metrics_do_not_perturb_options_fingerprint():
     plain = SigRec()
-    instrumented = SigRec(metrics=MetricsRegistry(), tracer=SpanTracer())
+    instrumented = SigRec(metrics=MetricsRegistry())
     assert plain.options() == instrumented.options()
 
 

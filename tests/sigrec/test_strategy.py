@@ -15,7 +15,7 @@ from repro.analysis.framework import DEFAULT_PIPELINE
 from repro.cli import main
 from repro.compiler import compile_contract
 from repro.evm.asm import Assembler
-from repro.obs import MetricsRegistry, RunLedger, SpanTracer
+from repro.obs import MetricsRegistry, RunLedger
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import FunctionMemo
@@ -29,13 +29,6 @@ def _code(*signatures):
 
 
 CODE = _code("transfer(address,uint256)", "flag()", "set(bytes)")
-
-
-def _analysis_spans(tracer):
-    return {
-        r["name"] for r in tracer.records
-        if r["type"] == "span_start" and r["name"].startswith("analysis.")
-    }
 
 
 def _pass_runs(metrics):
@@ -64,20 +57,20 @@ def engine_calls(monkeypatch):
 
 
 def test_fresh_tool_runs_one_walk_over_cfg_and_dispatcher(engine_calls):
-    tracer = SpanTracer()
-    tool = SigRec(tracer=tracer)
+    metrics = MetricsRegistry()
+    tool = SigRec(metrics=metrics)
     assert len(tool.recover(CODE)) == 3
     assert tool.last_strategy == "monolithic"
-    assert _analysis_spans(tracer) == {"analysis.cfg", "analysis.dispatcher"}
+    assert _pass_runs(metrics) == {"cfg": 1, "dispatcher": 1}
     assert engine_calls == {"run": 1}
 
 
 def test_static_check_off_pulls_no_analysis(engine_calls):
-    tracer = SpanTracer()
-    tool = SigRec(static_check=False, tracer=tracer)
+    metrics = MetricsRegistry()
+    tool = SigRec(static_check=False, metrics=metrics)
     tool.recover(CODE)
     assert tool.last_strategy == "monolithic"
-    assert _analysis_spans(tracer) == set()
+    assert _pass_runs(metrics) == {}
     assert engine_calls == {"run": 1}
 
 

@@ -561,7 +561,7 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
         "batch", str(corpus), "--workers", "0",
         "--metrics-out", str(metrics_path),
         "--ledger-out", str(ledger_path),
-        "--profile-hotspots", "count",
+        "--profile-hotspots",
     ]) == 0
     captured = capsys.readouterr()
     assert f"ledger: {ledger_path} (1 records)" in captured.err
