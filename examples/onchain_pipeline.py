@@ -17,7 +17,7 @@ from repro.apps.parchecker import ParChecker, corrupt_calldata
 from repro.chain import Chain, Transaction
 from repro.compiler import compile_contract
 from repro.corpus.signatures import SignatureGenerator
-from repro.sigrec.api import SigRec
+from repro.sigrec.batch import BatchRecovery
 
 
 def main() -> None:
@@ -65,10 +65,9 @@ def main() -> None:
     chain.mine()
 
     # Recover every deployed contract's signatures — duplicates once.
-    tool = SigRec()
     all_addresses = token_addresses + oneoff_addresses
     bytecodes = [chain.code_at(a) for a in all_addresses]
-    recovered = tool.recover_batch(bytecodes)
+    recovered = BatchRecovery(workers=0).recover_all(bytecodes)
     unique = len({code for code in bytecodes})
     print(f"recovered signatures for {len(all_addresses)} contracts "
           f"({unique} unique bytecodes analyzed)")

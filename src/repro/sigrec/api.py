@@ -33,11 +33,6 @@ from repro.sigrec.inference import PredicateMemo, infer_function
 from repro.sigrec.rules import RuleTracker
 from repro.sigrec.selectors import extract_selectors
 
-#: How many engine results one SigRec instance keeps around so that
-#: ``explain`` right after ``recover`` (the interactive workflow) does
-#: not re-run TASE from scratch.
-_RESULT_MEMO_SIZE = 8
-
 #: How many static analyses one SigRec instance keeps.  ``recover``,
 #: ``abi``, ``profile`` and sharded re-runs all need the same
 #: per-bytecode analysis; the memo makes it one CFG/dispatcher walk
@@ -90,10 +85,10 @@ class SigRec:
     A ``recover`` call runs one monolithic TASE walk from the entry
     unless per-selector shards can save work (:meth:`_shards`): a
     selector-group call (``only``/``exclude``) explores only the wanted
-    selectors, and a tool whose function memo can hold bodies the call
-    did not write (a ``memo_dir``, a store a batch worker attached, the
-    one :meth:`recover_batch` holds) can skip memoized bodies.  Both
-    strategies give identical results.
+    selectors, and a tool with a function memo (a ``memo_dir``, or a
+    store a batch worker attached) can skip memoized bodies.  The rule
+    reads the tool's configuration and the call, never an earlier
+    call.  Both strategies give identical results.
     """
 
     def __init__(
@@ -165,9 +160,9 @@ class SigRec:
         #: contracts.
         self._last_tier: str = "cold"
         #: (memo hits, memo misses) of the most recent ``recover``.
-        self._last_memo: Tuple[int, int] = (0, 0)
+        self.last_memo: Tuple[int, int] = (0, 0)
         #: (inference-memo hits, misses) of the most recent ``recover``.
-        self._last_inference_memo: Tuple[int, int] = (0, 0)
+        self.last_inference_memo: Tuple[int, int] = (0, 0)
         #: Structured static/TASE divergence reports from the most
         #: recent ``recover`` call (empty when they agree, or when
         #: ``static_check`` is off).
@@ -182,11 +177,9 @@ class SigRec:
         )
         from repro.sigrec.cache import LRU
 
-        # Recent engine results, keyed by bytecode digest: ``recover``
-        # deposits here and ``explain`` reuses instead of re-running TASE.
-        self._result_memo = LRU(_RESULT_MEMO_SIZE)
-        # Recent static analyses, same keying: every consumer goes
-        # through :meth:`_analyze` so one bytecode is walked once.
+        # Recent static analyses, keyed by bytecode digest: every
+        # consumer goes through :meth:`_analyze` so one bytecode is
+        # walked once.
         self._analysis_memo = LRU(_ANALYSIS_MEMO_SIZE)
 
     def options(self) -> Dict[str, object]:
@@ -203,10 +196,16 @@ class SigRec:
         return opts
 
     def function_memo(self):
-        """The function-body memo, created on first use (or ``None``)."""
+        """The function-body memo: an attached store, else with a
+        ``memo_dir`` its disk-backed store made on first use, else
+        ``None`` — a tool makes no memory-only function memo of its own."""
         from repro.sigrec.cache import FunctionMemo
 
-        return self._store(FunctionMemo) if self.memo else None
+        if not self.memo:
+            return None
+        if FunctionMemo in self._stores or self.memo_dir is not None:
+            return self._store(FunctionMemo)
+        return None
 
     def inference_memo_tier(self):
         """The inference memo, created on first use (or ``None``)."""
@@ -216,7 +215,9 @@ class SigRec:
 
     def attach_store(self, store) -> None:
         """Use ``store`` as this tool's memo of its kind (batch workers
-        share one per process across their short-lived tools)."""
+        share one per process across their short-lived tools); it then
+        reports its probes into this tool's registry."""
+        store.metrics = self.metrics
         self._stores[type(store)] = store
 
     def _store(self, kind):
@@ -246,7 +247,7 @@ class SigRec:
         return analysis
 
     def _run_engine(self, bytecode: bytes) -> TASEResult:
-        """Run TASE and remember the result for a follow-up ``explain``."""
+        """One monolithic TASE walk from the entry."""
         with phase_span(self.metrics, "disasm"):
             engine = TASEEngine(
                 bytecode,
@@ -255,9 +256,7 @@ class SigRec:
                 **self._engine_opts,
             )
         with phase_span(self.metrics, "tase"):
-            result = engine.run()
-        self._result_memo.put(hashlib.sha256(bytecode).digest(), result)
-        return result
+            return engine.run()
 
     def recover(
         self,
@@ -288,7 +287,7 @@ class SigRec:
             if self.profiler is not None:
                 hot_before = self.profiler.snapshot()
             started = time.perf_counter()
-        self._last_memo = (0, 0)
+        self.last_memo = (0, 0)
         with phase_span(self.metrics, "recover"):
             sharding = self._shards(partial)
             analysis: Optional[ContractAnalysis] = None
@@ -310,8 +309,8 @@ class SigRec:
             )
             self._last_tier = "cold"
             for tier, hits in (
-                ("memo", self._last_memo[0]),
-                ("inference-memo", self._last_inference_memo[0]),
+                ("memo", self.last_memo[0]),
+                ("inference-memo", self.last_inference_memo[0]),
             ):
                 if hits:
                     self._last_tier = (
@@ -352,7 +351,7 @@ class SigRec:
         """One run-ledger record for the ``recover`` call just finished."""
         from repro.sigrec.cache import options_fingerprint
 
-        memo_hits, memo_misses = self._last_memo
+        memo_hits, memo_misses = self.last_memo
         record = {
             "code_sha256": hashlib.sha256(bytecode).hexdigest(),
             "bytes": len(bytecode),
@@ -372,8 +371,8 @@ class SigRec:
             },
             "memo": {"hits": memo_hits, "misses": memo_misses},
             "inference_memo": {
-                "hits": self._last_inference_memo[0],
-                "misses": self._last_inference_memo[1],
+                "hits": self.last_inference_memo[0],
+                "misses": self.last_inference_memo[1],
             },
             "tase": {
                 "steps": result.total_steps,
@@ -399,20 +398,15 @@ class SigRec:
         """Whether this call may run per-selector shards.
 
         Shards cost more than one walk — the plan needs the jump
-        fixpoint, each shard re-walks the dispatcher spine and writes a
-        memo record — and pay only where they save work: a ``partial``
-        (selector-group) call explores just its wanted selectors, and a
-        function memo that can hold bodies this call did not write — an
-        on-disk ``memo_dir``, or a store this tool already holds (one a
-        batch worker attached, one :meth:`recover_batch` holds, or one an
-        earlier sharded call filled) — can skip whole functions.  Every other call runs one monolithic
-        walk and writes no memo records.
+        fixpoint, and each shard re-walks the dispatcher spine — and pay
+        only where they save work: a ``partial`` (selector-group) call
+        explores just its wanted selectors, and a function memo (an
+        on-disk ``memo_dir``, or a store a batch worker attached) can
+        skip whole functions.  Every other call runs one monolithic walk.
+        The answer depends on the configuration and this call alone, so
+        an earlier call never changes it.
         """
-        from repro.sigrec.cache import FunctionMemo
-
-        return partial or self.memo and (
-            self.memo_dir is not None or FunctionMemo in self._stores
-        )
+        return partial or self.function_memo() is not None
 
     def _shard_plan(self, analysis: ContractAnalysis):
         """The sorted selector list to shard on, or None → monolithic.
@@ -476,12 +470,7 @@ class SigRec:
             result = merge_tase_results(parts)
             result.selectors = sorted(set(result.functions) | set(hits))
             engine.publish_metrics(result)
-        self._last_memo = (len(hits), len(miss_keys))
-        if not hits:
-            # Every function was actually explored, so the merged result
-            # is a complete event map ``explain`` may reuse; with memo
-            # hits it would be missing bodies and must not be deposited.
-            self._result_memo.put(hashlib.sha256(bytecode).digest(), result)
+        self.last_memo = (len(hits), len(miss_keys))
         return result, hits, miss_keys
 
     def _infer(
@@ -554,7 +543,7 @@ class SigRec:
                 if key is not None:
                     fn_memo.put(key, record)
                 recovered.append(signature)
-        self._last_inference_memo = (inf_hits, inf_misses)
+        self.last_inference_memo = (inf_hits, inf_misses)
         return recovered
 
     def _replay(self, record, selector: int) -> RecoveredSignature:
@@ -705,54 +694,6 @@ class SigRec:
             })
         return entries
 
-    def recover_batch(
-        self,
-        bytecodes: List[bytes],
-        deduplicate: bool = True,
-        workers: int = 0,
-        cache_dir: Optional[str] = None,
-        unit_size: Optional[int] = None,
-    ) -> List[List[RecoveredSignature]]:
-        """Recover many contracts; identical bytecodes analyze once.
-
-        Mainnet contracts are massively duplicated (the paper's corpus:
-        37,009,570 deployed contracts, only 368,679 unique bytecodes),
-        so memoizing the analysis per unique bytecode is the difference
-        between hours and minutes at chain scale.
-
-        ``workers`` > 0 shards unique bytecodes across a process pool
-        and ``cache_dir`` persists results on disk across runs; both are
-        handled by :class:`repro.sigrec.batch.BatchRecovery`, and both
-        produce the same signatures and merged rule counts as the
-        default serial in-process path.  Every returned entry is an
-        independent list — mutating one result never corrupts the result
-        of a duplicated bytecode elsewhere in the batch.  The serial path
-        holds this tool's function memo, so its calls shard and a body
-        shared by several bytecodes is recovered once.
-        """
-        if workers or cache_dir is not None:
-            from repro.sigrec.batch import DEFAULT_UNIT_SIZE, BatchRecovery
-
-            runner = BatchRecovery(
-                tool=self,
-                workers=workers,
-                cache_dir=cache_dir,
-                unit_size=(
-                    unit_size if unit_size is not None else DEFAULT_UNIT_SIZE
-                ),
-            )
-            return runner.recover_all(bytecodes, deduplicate=deduplicate)
-        self.function_memo()
-        if not deduplicate:
-            return [self.recover(code) for code in bytecodes]
-        memo: Dict[bytes, List[RecoveredSignature]] = {}
-        out: List[List[RecoveredSignature]] = []
-        for code in bytecodes:
-            if code not in memo:
-                memo[code] = self.recover(code)
-            out.append(list(memo[code]))
-        return out
-
     def explain(self, bytecode: bytes, selector: int) -> str:
         """A human-readable account of one function's recovery.
 
@@ -760,15 +701,8 @@ class SigRec:
         location expressions and guards), the type-revealing uses, the
         rules that fired, and the final parameter list — the evidence
         trail behind the answer.
-
-        When ``recover`` (or a previous ``explain``) already analyzed
-        this bytecode on this instance, the engine result is reused
-        instead of re-running TASE and re-disassembling from scratch.
         """
-        result = self._result_memo.get(hashlib.sha256(bytecode).digest())
-        if result is None:
-            result = self._run_engine(bytecode)
-        events = result.functions.get(selector)
+        events = self._run_engine(bytecode).functions.get(selector)
         if events is None:
             return f"0x{selector:08x}: function not found in the dispatcher"
         inferred = infer_function(

@@ -191,8 +191,8 @@ class UnitOutcome:
     counts: Dict[str, int]  # the unit's rule-fire counts
     metrics: Optional[dict]  # the unit's serialized metrics registry
     elapsed: float
-    memo: Tuple[int, int]  # function-memo (hits, misses) delta
-    inference_memo: Tuple[int, int]  # inference-memo (hits, misses) delta
+    memo: Tuple[int, int]  # function-memo (hits, misses)
+    inference_memo: Tuple[int, int]  # inference-memo (hits, misses)
     obs: Optional[dict]  # ledger records and hot-loop profile
 
 
@@ -212,10 +212,9 @@ def _analyze_unit(
     returns the serialized document, which the parent merges — counters
     are additive, so the aggregate equals a serial run's (the same
     pattern as the per-unit :class:`RuleTracker` merge).  The elapsed
-    wall time and each memo's (hits, misses) delta ride along for the
-    ``contract.seconds`` histogram and the batch stats — the memo
-    numbers come from the stores' own counters so they survive
-    metrics-free runs.
+    wall time and each memo's (hits, misses) ride along for the
+    ``contract.seconds`` histogram and the batch stats — the unit's
+    ``recover`` tallies them, so they survive metrics-free runs.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
     (run-ledger records) and ``"profiler"`` (hot-loop attribution).
@@ -229,24 +228,16 @@ def _analyze_unit(
     ledger = RunLedger() if obs_opts.get("ledger") else None
     profiler = HotLoopProfiler() if obs_opts.get("profiler") else None
     tool = SigRec(metrics=registry, ledger=ledger, profiler=profiler, **options)
-    before = {}
+    # The shared store reports into whichever unit attached it last; a
+    # worker processes one unit at a time, so this is race-free.
     for kind, enabled in (
         (FunctionMemo, tool.memo), (InferenceMemo, tool.inference_memo)
     ):
         if enabled:
-            store = _worker_store(kind, options, memo_dir)
-            tool.attach_store(store)
-            # The shared store reports into whichever unit is running; a
-            # worker processes one unit at a time, so this is race-free.
-            store.metrics = registry if registry is not None else NULL_REGISTRY
-            before[kind] = (store, store.hits, store.misses)
+            tool.attach_store(_worker_store(kind, options, memo_dir))
     start = time.perf_counter()
     signatures = tool.recover(bytecode, only=only, exclude=exclude)
     elapsed = time.perf_counter() - start
-    probed = {}
-    for kind, (store, hits, misses) in before.items():
-        store.metrics = NULL_REGISTRY
-        probed[kind] = (store.hits - hits, store.misses - misses)
     obs: Optional[dict] = None
     if ledger is not None or profiler is not None:
         obs = {
@@ -260,8 +251,8 @@ def _analyze_unit(
         counts={r: c for r, c in tool.tracker.counts.items() if c},
         metrics=registry.to_dict() if registry is not None else None,
         elapsed=elapsed,
-        memo=probed.get(FunctionMemo, (0, 0)),
-        inference_memo=probed.get(InferenceMemo, (0, 0)),
+        memo=tool.last_memo,
+        inference_memo=tool.last_inference_memo,
         obs=obs,
     )
 
@@ -404,24 +395,18 @@ class BatchRecovery:
     # ------------------------------------------------------------------
 
     def recover_all(
-        self, bytecodes: Sequence[bytes], deduplicate: bool = True
+        self, bytecodes: Sequence[bytes]
     ) -> List[List[RecoveredSignature]]:
-        """One result list per input, in input order.
+        """One result list per input, in input order; identical
+        bytecodes analyze once.
 
         Every entry is an independent list object: mutating one result
         never affects another, even for duplicated bytecodes.
         """
         start = time.perf_counter()
         stats = BatchStats(total=len(bytecodes), workers=self.workers)
-        # Order-preserving dedup; with deduplicate=False every entry is
-        # its own job (the cache still collapses repeat work, but rule
-        # counters then count duplicates once each, like the serial
-        # non-dedup path).
-        if deduplicate:
-            jobs: List[bytes] = list(dict.fromkeys(bytecodes))
-        else:
-            jobs = list(bytecodes)
-        stats.unique = len(dict.fromkeys(bytecodes)) if bytecodes else 0
+        jobs: List[bytes] = list(dict.fromkeys(bytecodes))  # ordered dedup
+        stats.unique = len(jobs)
 
         finished: Dict[int, List[RecoveredSignature]] = {}
         pending: List[int] = []
@@ -485,11 +470,8 @@ class BatchRecovery:
                 stats.inference_memo_misses += outcome.inference_memo[1]
             self._assemble(jobs, outcomes, finished)
 
-        if deduplicate:
-            by_code = {code: finished[i] for i, code in enumerate(jobs)}
-            out = [list(by_code[code]) for code in bytecodes]
-        else:
-            out = [list(finished[i]) for i in range(len(jobs))]
+        by_code = {code: finished[i] for i, code in enumerate(jobs)}
+        out = [list(by_code[code]) for code in bytecodes]
         stats.elapsed_seconds = time.perf_counter() - start
         if self.metrics is not NULL_REGISTRY:
             metrics = self.metrics
@@ -501,9 +483,7 @@ class BatchRecovery:
         self.stats = stats
         return out
 
-    def profile_all(
-        self, bytecodes: Sequence[bytes], deduplicate: bool = True
-    ):
+    def profile_all(self, bytecodes: Sequence[bytes]):
         """One :class:`~repro.analysis.report.ContractProfile` per input.
 
         Runs :meth:`recover_all` first (parallel, cache-backed), then
@@ -516,7 +496,7 @@ class BatchRecovery:
         """
         from repro.analysis.report import ContractProfile
 
-        results = self.recover_all(bytecodes, deduplicate=deduplicate)
+        results = self.recover_all(bytecodes)
         profiles: Dict[bytes, ContractProfile] = {}
         out = []
         for code, signatures in zip(bytecodes, results):

@@ -144,22 +144,6 @@ def test_extract_function_ids_static():
     assert ids == sorted(int.from_bytes(s.selector, "big") for s in sigs)
 
 
-def test_explain_reuses_engine_result_after_recover(monkeypatch):
-    """`explain` right after `recover` must not re-run TASE from scratch."""
-    import repro.sigrec.api as api_module
-
-    contract = compile_contract([FunctionSignature.parse("f(uint8)")])
-    tool = SigRec()
-    recovered = tool.recover(contract.bytecode)
-
-    def boom(*args, **kwargs):
-        raise AssertionError("TASEEngine re-constructed after recover")
-
-    monkeypatch.setattr(api_module, "TASEEngine", boom)
-    text = tool.explain(contract.bytecode, recovered[0].selector)
-    assert "rules fired" in text
-
-
 def test_explain_runs_engine_for_unseen_bytecode():
     contract = compile_contract([FunctionSignature.parse("f(uint8)")])
     tool = SigRec()

@@ -1,10 +1,9 @@
 """Batch recovery with bytecode deduplication."""
 
-import time
-
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.sigrec.api import SigRec
+from repro.sigrec.batch import BatchRecovery
 
 
 def _codes():
@@ -13,12 +12,22 @@ def _codes():
     return a, b
 
 
+def _essence(signatures):
+    """Everything except wall-clock timing, which varies run to run."""
+    return [
+        (s.selector, s.param_types, s.language, s.fired_rules, s.confidences)
+        for s in signatures
+    ]
+
+
 def test_batch_results_match_individual():
     a, b = _codes()
-    tool = SigRec()
-    batch = tool.recover_batch([a, b, a])
+    batch = BatchRecovery(workers=0).recover_all([a, b, a])
     assert len(batch) == 3
     assert batch[0] == batch[2]  # deduplicated: same analysis outcome
+    assert [_essence(sigs) for sigs in batch] == [
+        _essence(SigRec().recover(code)) for code in (a, b, a)
+    ]
     assert [s.param_list for s in batch[0]] == ["uint8"]
     assert [s.param_list for s in batch[1]] == ["bytes"]
 
@@ -27,31 +36,11 @@ def test_batch_duplicates_do_not_alias():
     """Regression: duplicated bytecodes used to share one list object,
     so mutating one caller's result silently corrupted the others."""
     a, _ = _codes()
-    batch = SigRec().recover_batch([a, a])
+    batch = BatchRecovery(workers=0).recover_all([a, a])
     assert batch[0] is not batch[1]
     batch[0].append("sentinel")
     assert len(batch[1]) == 1
 
 
-def test_batch_without_dedup():
-    a, _ = _codes()
-    tool = SigRec()
-    batch = tool.recover_batch([a, a], deduplicate=False)
-    assert batch[0] is not batch[1]
-    assert [s.param_list for s in batch[0]] == [s.param_list for s in batch[1]]
-
-
-def test_dedup_is_dramatically_faster_on_duplicates():
-    a, _ = _codes()
-    codes = [a] * 300
-    start = time.perf_counter()
-    SigRec().recover_batch(codes)
-    dedup_time = time.perf_counter() - start
-    start = time.perf_counter()
-    SigRec().recover_batch(codes, deduplicate=False)
-    full_time = time.perf_counter() - start
-    assert dedup_time * 5 < full_time
-
-
 def test_empty_batch():
-    assert SigRec().recover_batch([]) == []
+    assert BatchRecovery(workers=0).recover_all([]) == []

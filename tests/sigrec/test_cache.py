@@ -129,8 +129,9 @@ def test_entries_are_content_addressed(tmp_path):
 
 def test_recover_batch_cache_dir_round_trip(tmp_path):
     codes = [_code("a(uint8)"), _code("a(uint8)")]
-    first = SigRec().recover_batch(codes, cache_dir=str(tmp_path))
-    second = SigRec().recover_batch(codes, cache_dir=str(tmp_path))
+    directory = str(tmp_path)
+    first = BatchRecovery(workers=0, cache_dir=directory).recover_all(codes)
+    second = BatchRecovery(workers=0, cache_dir=directory).recover_all(codes)
     assert _essence(first) == _essence(second)
 
 

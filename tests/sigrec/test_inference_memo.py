@@ -175,14 +175,14 @@ def test_warm_run_replays_counts_and_reports_the_tier(tmp_path):
     code = _code()
     cold = SigRec(memo=False, inference_memo=True, memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
-    assert cold._last_inference_memo[0] == 0  # nothing to hit yet
+    assert cold.last_inference_memo[0] == 0  # nothing to hit yet
 
     warm = SigRec(
         memo=False, inference_memo=True, memo_dir=str(tmp_path),
         metrics=MetricsRegistry(),
     )
     assert [_key(s) for s in warm.recover(code)] == expected
-    hits, misses = warm._last_inference_memo
+    hits, misses = warm.last_inference_memo
     assert hits > 0 and misses == 0
     assert warm._last_tier == "inference-memo"
     assert warm.tracker.as_dict() == cold.tracker.as_dict()
@@ -210,7 +210,7 @@ def test_disabled_memo_never_probes(tmp_path):
     tool = SigRec(inference_memo=False, memo_dir=str(tmp_path))
     tool.recover(_code())
     assert tool.inference_memo_tier() is None
-    assert tool._last_inference_memo == (0, 0)
+    assert tool.last_inference_memo == (0, 0)
 
 
 def test_function_memo_hit_outranks_inference_memo(tmp_path):
@@ -222,7 +222,7 @@ def test_function_memo_hit_outranks_inference_memo(tmp_path):
     warm = SigRec(inference_memo=True, memo_dir=str(tmp_path))
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "memo"
-    assert warm._last_inference_memo == (0, 0)
+    assert warm.last_inference_memo == (0, 0)
 
 
 def test_batch_counts_inference_memo_probes(tmp_path):

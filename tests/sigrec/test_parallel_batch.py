@@ -99,18 +99,23 @@ def test_parallel_matches_serial():
 
 
 def test_batch_recovery_matches_plain_recover_batch():
+    """The serial drain equals one tool's plain ``recover`` over each
+    unique bytecode: same signatures, same merged rule counts."""
     a, b, _ = _codes()
     codes = [a, b, b]
-    plain = SigRec().recover_batch(codes)
-    runner_tool = SigRec()
-    runner = BatchRecovery(tool=runner_tool, workers=0)
-    assert _essence(runner.recover_all(codes)) == _essence(plain)
+    plain_tool = SigRec()
+    plain = {code: plain_tool.recover(code) for code in dict.fromkeys(codes)}
+    runner = BatchRecovery(tool=SigRec(), workers=0)
+    assert _essence(runner.recover_all(codes)) == _essence(
+        plain[code] for code in codes
+    )
+    assert runner.tool.tracker.counts == plain_tool.tracker.counts
 
 
 def test_parallel_preserves_order_and_expands_duplicates():
     a, b, _ = _codes()
     codes = [b, a, b, b, a]
-    results = SigRec().recover_batch(codes, workers=2)
+    results = BatchRecovery(workers=2).recover_all(codes)
     assert len(results) == 5
     assert [s.param_list for s in results[0]] == ["bytes"]
     assert [s.param_list for s in results[1]] == ["uint8"]
@@ -122,18 +127,20 @@ def test_parallel_preserves_order_and_expands_duplicates():
 
 
 def test_parallel_stats():
+    """Pooled and serial drains both analyze each unique bytecode once."""
     a, b, _ = _codes()
-    runner = BatchRecovery(tool=SigRec(), workers=2)
-    runner.recover_all([a, a, b, a])
-    stats = runner.stats
-    assert stats.total == 4
-    assert stats.unique == 2
-    assert stats.analyzed == 2
-    assert stats.workers == 2
-    assert abs(stats.unique_ratio - 0.5) < 1e-9
-    assert stats.cache_hits == 0 and stats.cache_misses == 0
-    assert "4 contracts" in stats.summary()
-    assert "cache off" in stats.summary()
+    for workers in (2, 0):
+        runner = BatchRecovery(tool=SigRec(), workers=workers)
+        runner.recover_all([a, a, b, a])
+        stats = runner.stats
+        assert stats.total == 4
+        assert stats.unique == 2
+        assert stats.analyzed == 2
+        assert stats.workers == workers
+        assert abs(stats.unique_ratio - 0.5) < 1e-9
+        assert stats.cache_hits == 0 and stats.cache_misses == 0
+        assert "4 contracts" in stats.summary()
+        assert "cache off" in stats.summary()
 
 
 def test_workers_default_uses_cpu_count():

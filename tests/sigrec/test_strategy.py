@@ -1,10 +1,10 @@
 """When ``recover`` shards: only where per-selector shards can save work.
 
 A fresh tool runs one monolithic TASE walk over cfg + dispatcher and
-writes no function-memo records.  A tool whose function memo can hold
-bodies the call did not write (a ``memo_dir``, an attached store, the
-store a serial ``recover_batch`` holds) and a selector-group call shard,
-exactly as before.
+writes no function-memo records.  A tool with a function memo (a
+``memo_dir`` or an attached store) and a selector-group call shard.
+The rule reads the tool's configuration and the call alone: an earlier
+call never switches a later one to shards.
 """
 
 import pytest
@@ -28,7 +28,12 @@ def _code(*signatures):
     ).bytecode
 
 
-CODE = _code("transfer(address,uint256)", "flag()", "set(bytes)")
+SIGNATURES = ("transfer(address,uint256)", "flag()", "set(bytes)")
+CODE = _code(*SIGNATURES)
+SELECTORS = sorted(
+    int.from_bytes(FunctionSignature.parse(s).selector, "big")
+    for s in SIGNATURES
+)
 
 
 def _pass_runs(metrics):
@@ -107,23 +112,34 @@ def test_batch_units_shard():
     assert {record["strategy"] for record in records} == {"sharded"}
 
 
-def test_serial_recover_batch_shares_the_function_memo():
-    from repro.corpus.datasets import build_clone_corpus
-
-    corpus = build_clone_corpus(n_families=2, clones_per_family=3, seed=11)
-    codes = [case.contract.bytecode for case in corpus.cases]
-    tool = SigRec()
-    tool.recover_batch(codes)
+def test_partial_call_without_a_memo_pulls_no_reach():
+    """A selector-group call on a store-less tool shards without a memo:
+    no preimages (so no ``reach``), no probes, no writes."""
+    metrics = MetricsRegistry()
+    ledger = RunLedger()
+    tool = SigRec(metrics=metrics, ledger=ledger)
+    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
     assert tool.last_strategy == "sharded"
-    assert tool.function_memo().hits > 0
+    assert _pass_runs(metrics) == {"cfg": 1, "dispatcher": 1, "jumps": 1}
+    (record,) = ledger.all_records()
+    assert record["memo"] == {"hits": 0, "misses": 0}
+    assert tool.function_memo() is None
+
+
+def test_partial_call_leaves_the_next_call_monolithic(engine_calls):
+    tool = SigRec()
+    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
+    engine_calls.clear()
+    tool.recover(_code("a(uint8)"))
+    assert tool.last_strategy == "monolithic"
+    assert engine_calls == {"run": 1}
 
 
 def test_selector_group_calls_shard():
-    selectors = sorted(s.selector for s in SigRec().recover(CODE))
     tool = SigRec(memo=False)
-    tool.recover(CODE, only=frozenset(selectors[:1]))
+    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
     assert tool.last_strategy == "sharded"
-    tool.recover(CODE, exclude=frozenset(selectors[:1]))
+    tool.recover(CODE, exclude=frozenset(SELECTORS[:1]))
     assert tool.last_strategy == "sharded"
 
 
