@@ -56,15 +56,17 @@ def test_warm_memo_batch_beats_monolithic_baseline(record, bench_json, tmp_path)
 
     # Prime the disk tier of the function memo from one clone per family
     # (untimed: this is the "the chain has been crawled before" state).
+    # The function memo is opt-in: both the primer and the warm tool
+    # turn it on.
     memo_dir = os.path.join(str(tmp_path), "fnmemo")
-    primer = SigRec(memo_dir=memo_dir)
+    primer = SigRec(memo=True, memo_dir=memo_dir)
     for family in range(0, len(codes), 4):
         primer.recover(codes[family])
     assert primer.function_memo().writes > 0
 
     # Warm run: sharded recovery, memo hits from disk, cold contract cache.
     warm_runner = BatchRecovery(
-        tool=SigRec(), workers=WORKERS, cache_dir=str(tmp_path)
+        tool=SigRec(memo=True), workers=WORKERS, cache_dir=str(tmp_path)
     )
     shutdown_pool()
     start = time.perf_counter()

@@ -162,7 +162,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         profiler = HotLoopProfiler()
     try:
         tool = SigRec(
-            memo=args.memo,
             inference_memo=args.inference_memo,
             metrics=metrics,
             ledger=ledger,
@@ -645,10 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unit-size", type=int, default=None, metavar="K",
         help="selectors per scheduler unit before a contract splits "
         "into several work-stealing units (0 = never split)",
-    )
-    p.add_argument(
-        "--no-memo", dest="memo", action="store_false", default=True,
-        help="disable the function-body memo tier",
     )
     p.add_argument(
         "--inference-memo", dest="inference_memo",

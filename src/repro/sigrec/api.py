@@ -85,10 +85,12 @@ class SigRec:
     A ``recover`` call runs one monolithic TASE walk from the entry
     unless per-selector shards can save work (:meth:`_shards`): a
     selector-group call (``only``/``exclude``) explores only the wanted
-    selectors, and a tool with a function memo (a ``memo_dir``, or a
-    store a batch worker attached) can skip memoized bodies.  The rule
-    reads the tool's configuration and the call, never an earlier
-    call.  Both strategies give identical results.
+    selectors, and a tool that opts into the function memo
+    (``memo=True``) and has one (a ``memo_dir``, or a store a batch
+    worker attached) can skip memoized bodies.  The rule reads the
+    tool's configuration and the call, never an earlier call.  Both
+    strategies give identical results unless a walk truncates: a shard
+    has a path budget of its own.
     """
 
     def __init__(
@@ -101,7 +103,7 @@ class SigRec:
         semantic_idioms: bool = True,
         coarse_only: bool = False,
         static_check: bool = True,
-        memo: bool = True,
+        memo: bool = False,
         memo_dir: Optional[str] = None,
         inference_memo: bool = False,
         metrics: Optional[MetricsRegistry] = None,
@@ -127,10 +129,14 @@ class SigRec:
         # the static dispatcher analysis after every ``recover`` (see
         # :attr:`last_diagnostics`).
         self.static_check = static_check
-        # ``memo`` keys each shard's inferred signature by its code
-        # region so clone-heavy corpora recover each shared body once
-        # (a shard is one selector explored on its own; see
-        # :meth:`_shards` for when a call shards).
+        # ``memo`` opts into the function-body memo: each shard's
+        # inferred signature keyed by its code region, so a clone-heavy
+        # corpus recovers each shared body once (a shard is one
+        # selector explored on its own; see :meth:`_shards` for when a
+        # call shards).  Off by default: keying, probing and writing
+        # the bodies cost more than the replays save on every measured
+        # corpus, since each shard re-walks the dispatcher spine; even
+        # a memo primed on disk by an earlier run gains only a little.
         # ``inference_memo`` opts into the third caching tier: inference
         # products keyed by the canonical event-stream digest
         # (:func:`repro.sigrec.events.events_digest`), so clones whose
@@ -140,9 +146,9 @@ class SigRec:
         # it could skip on every measured corpus, so only a workload
         # with expensive inference and many digest-equal functions
         # gains from it.
-        # ``memo_dir`` adds the persistent on-disk tier of both memos
-        # (it is wiring, like ``metrics``, and not part of
-        # :meth:`options`).
+        # ``memo_dir`` adds the persistent on-disk tier of whichever
+        # memo is on and does nothing without one (it is wiring, like
+        # ``metrics``, and not part of :meth:`options`).
         self.memo = memo
         self.inference_memo = inference_memo
         self.memo_dir = memo_dir
@@ -196,9 +202,10 @@ class SigRec:
         return opts
 
     def function_memo(self):
-        """The function-body memo: an attached store, else with a
-        ``memo_dir`` its disk-backed store made on first use, else
-        ``None`` — a tool makes no memory-only function memo of its own."""
+        """The function-body memo: ``None`` unless ``memo`` is on; then
+        an attached store, else with a ``memo_dir`` its disk-backed
+        store made on first use, else ``None`` — a tool makes no
+        memory-only function memo of its own."""
         from repro.sigrec.cache import FunctionMemo
 
         if not self.memo:
@@ -400,9 +407,10 @@ class SigRec:
         Shards cost more than one walk — the plan needs the jump
         fixpoint, and each shard re-walks the dispatcher spine — and pay
         only where they save work: a ``partial`` (selector-group) call
-        explores just its wanted selectors, and a function memo (an
-        on-disk ``memo_dir``, or a store a batch worker attached) can
-        skip whole functions.  Every other call runs one monolithic walk.
+        explores just its wanted selectors, and an opted-in function
+        memo (an on-disk ``memo_dir``, or a store a batch worker
+        attached) can skip whole functions.  Every other call runs one
+        monolithic walk.
         The answer depends on the configuration and this call alone, so
         an earlier call never changes it.
         """

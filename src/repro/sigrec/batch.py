@@ -11,14 +11,18 @@ across cores.  :class:`BatchRecovery` composes four layers:
 2. **Persistent cache** — with a ``cache_dir``, finished results are
    read from / written to a content-addressed on-disk store
    (:mod:`repro.sigrec.cache`), so repeat runs skip the engine entirely.
-3. **Function-body memo** — each worker process keeps a shared
-   :class:`~repro.sigrec.cache.FunctionMemo` (plus an on-disk tier
-   under ``<cache_dir>/fnmemo``), so clone-heavy corpora analyze each
-   shared function body once per process / once per cache directory.
-   An :class:`~repro.sigrec.cache.InferenceMemo` rides alongside it in
-   the same directory: when a body's preimage differs but its canonical
+3. **Opt-in memos** — with ``SigRec(memo=True)`` each worker process
+   keeps a shared :class:`~repro.sigrec.cache.FunctionMemo` (plus an
+   on-disk tier under ``<cache_dir>/fnmemo``), so a unit whose function
+   body is memoized skips that body's TASE shard.  With
+   ``SigRec(inference_memo=True)`` an
+   :class:`~repro.sigrec.cache.InferenceMemo` rides alongside it in the
+   same directory: when a body's preimage differs but its canonical
    event stream matches, TASE still runs yet the type-inference pass is
-   replayed from the memo.
+   replayed from the memo.  Both are off by default, so a default unit
+   that is not split runs one monolithic walk, writes nothing under
+   ``fnmemo`` and recovers exactly what a plain ``recover`` does (a
+   split unit shards by its selector group).
 4. **Work-stealing scheduler** — cache misses become (contract,
    selector-group) *units* on one shared queue drained by a
    ``ProcessPoolExecutor`` via ``submit``/``as_completed``: a free
@@ -107,8 +111,10 @@ _RUN_TOKEN: Optional[str] = None
 #: many short-lived ``SigRec`` instances a worker constructs — that
 #: persistence is the whole point: the Nth unit with a familiar function
 #: body skips its TASE shard (function memo) or its inference (inference
-#: memo).  They live for one ``recover_all`` call (:func:`_enter_run`);
-#: cross-run reuse is the on-disk tier's job (``memo_dir``).
+#: memo).  They live for one ``recover_all`` call: an in-process drain
+#: drops them when it ends, a pool worker when the next call's first
+#: unit arrives (:func:`_enter_run`); cross-run reuse is the on-disk
+#: tier's job (``memo_dir``).
 _WORKER_STORES: Dict[Tuple[type, str, Optional[str]], ContentStore] = {}
 
 
@@ -151,16 +157,19 @@ def shutdown_pool() -> None:
 
 
 def _enter_run(token: str) -> None:
-    """The one lifetime rule for what a process keeps between units.
+    """Drop what a process keeps between units when a new call starts.
 
-    The first unit carrying a new run token drops every held memo store,
-    so a store's memory tier serves one call and a finished call's
-    stores are freed.  In a pool worker it also empties the program
-    cache: the pool outlives the call, and without the token a worker
-    would start the next call warmer than a freshly forked one (serial
-    and parallel counter aggregates could diverge) and hold what every
-    earlier call left behind.  The serial path keeps its program cache,
-    which holds the decodes that ``_units_for`` made for this very call.
+    Held memo stores serve one ``recover_all`` call, and two events drop
+    them: the first unit carrying a new run token (here), and the end of
+    an in-process drain, on return or raise (``recover_all``).  So a
+    finished serial call holds none, and a pool worker holds its last
+    call's stores until the next call reaches it.  In a pool worker the
+    token also empties the program cache: the pool outlives the call,
+    and without the token a worker would start the next call warmer than
+    a freshly forked one (serial and parallel counter aggregates could
+    diverge) and hold what every earlier call left behind.  The serial
+    path keeps its program cache, which holds the decodes that
+    ``_units_for`` made for this very call.
     """
     global _RUN_TOKEN
     if token == _RUN_TOKEN:
@@ -357,8 +366,9 @@ class BatchRecovery:
     is the process-pool size (``None`` means ``os.cpu_count()``; ``0``
     means serial in-process).  ``cache_dir`` enables the persistent
     result cache plus the on-disk tiers of the memos the tool enables
-    (the inference memo only with ``SigRec(inference_memo=True)``),
-    which share ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).
+    (the function memo only with ``SigRec(memo=True)``, the inference
+    memo only with ``SigRec(inference_memo=True)``), which share
+    ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).
     ``unit_size`` is the selector count above which one contract splits
     into several scheduler units (``0`` disables splitting).
     """
@@ -462,7 +472,10 @@ class BatchRecovery:
             if self.workers and len(units) > 1:
                 outcomes = self._drain_parallel(analyze, units)
             else:
-                outcomes = [analyze(unit) for unit in units]
+                try:
+                    outcomes = [analyze(unit) for unit in units]
+                finally:
+                    _WORKER_STORES.clear()
             for outcome in outcomes:
                 stats.memo_hits += outcome.memo[0]
                 stats.memo_misses += outcome.memo[1]

@@ -171,7 +171,7 @@ def test_ledger_does_not_perturb_options_fingerprint():
 
 def test_second_recover_hits_the_memo_tier(tmp_path):
     ledger = RunLedger()
-    tool = SigRec(ledger=ledger, memo_dir=str(tmp_path))
+    tool = SigRec(ledger=ledger, memo=True, memo_dir=str(tmp_path))
     code = _bytecode("transfer(address,uint256)")
     tool.recover(code)
     tool.recover(code)

@@ -104,11 +104,11 @@ def test_slowest_section_names_the_dominant_phase():
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_slowest_section_shows_each_units_phases_and_diagnostics(workers):
-    # max_paths=2 truncates only the five-selector contract, which
-    # unit_size=2 splits into three units: a mix of records with and
-    # without a diagnostic.
+    # unit_size=2 splits the five-selector contract into three units,
+    # and max_paths=3 truncates only the one walk over the two-selector
+    # contract: a mix of records with and without a diagnostic.
     ledger = RunLedger()
-    tool = SigRec(metrics=MetricsRegistry(), ledger=ledger, max_paths=2)
+    tool = SigRec(metrics=MetricsRegistry(), ledger=ledger, max_paths=3)
     runner = BatchRecovery(tool=tool, workers=workers, unit_size=2)
     runner.recover_all([
         _bytecode("a(uint8)", "b(bool)", "c(address)", "d(uint256)",
@@ -131,7 +131,7 @@ def test_slowest_section_shows_each_units_phases_and_diagnostics(workers):
         assert entry["phases"] and entry["phases"] == record["phases"]
         assert entry["diagnostics"] == record["diagnostics"]
     flagged = [entry for entry in slowest if entry["diagnostics"]]
-    assert {entry["job"] for entry in flagged} == {0}
+    assert {entry["job"] for entry in flagged} == {2}
 
     text = render_report(report, top=len(records))
     for entry in slowest:

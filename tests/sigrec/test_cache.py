@@ -322,8 +322,12 @@ def test_batch_recovers_and_rewrites_wrong_shape_entries(
 
     code = _code("setData(bytes,uint256[3])")
     cache_dir = str(tmp_path)
-    # The inference memo is opt-in: its cases turn it on.
-    opts = {"inference_memo": True} if tier == "infmemo" else {}
+    # Both memos are opt-in: the memo cases turn on the function memo
+    # and the inference-memo cases the inference memo behind it too.
+    opts = {
+        "fnmemo": {"memo": True},
+        "infmemo": {"memo": True, "inference_memo": True},
+    }.get(tier, {})
     cold = BatchRecovery(tool=SigRec(**opts), workers=0, cache_dir=cache_dir)
     expected = _essence(cold.recover_all([code]))
     fingerprint = cold.cache.fingerprint

@@ -74,6 +74,8 @@ _MISSED_BY_TASE = {
 
 
 def _mutated_diagnostics(make_tool):
+    """Index -> (strategy, diagnostics) of every mutated contract on
+    which a fresh ``make_tool()`` reports a diagnostic."""
     from tests.analysis.test_pass_products import _mutated
 
     found = {}
@@ -81,23 +83,27 @@ def _mutated_diagnostics(make_tool):
         tool = make_tool()
         tool.recover(code)
         if tool.last_diagnostics:
-            found[index] = [(d.kind, d.selectors) for d in tool.last_diagnostics]
+            found[index] = (
+                tool.last_strategy,
+                [(d.kind, d.selectors) for d in tool.last_diagnostics],
+            )
     return found
 
 
-def test_cross_check_pins_on_mutated_contracts():
-    expected = {
-        index: [("selector-missed-by-tase", selectors)]
+def _missed_by_tase(strategy):
+    return {
+        index: (strategy, [("selector-missed-by-tase", selectors)])
         for index, selectors in _MISSED_BY_TASE.items()
     }
-    assert _mutated_diagnostics(SigRec) == expected
+
+
+def test_cross_check_pins_on_mutated_contracts():
+    assert _mutated_diagnostics(SigRec) == _missed_by_tase("monolithic")
 
 
 def test_cross_check_pins_hold_when_sharded(tmp_path):
-    expected = {
-        index: [("selector-missed-by-tase", selectors)]
-        for index, selectors in _MISSED_BY_TASE.items()
-    }
+    # A whole-contract call shards only for a tool that opts into the
+    # function memo and holds one; every diagnosed contract must shard.
     assert _mutated_diagnostics(
-        lambda: SigRec(memo_dir=str(tmp_path))
-    ) == expected
+        lambda: SigRec(memo=True, memo_dir=str(tmp_path))
+    ) == _missed_by_tase("sharded")

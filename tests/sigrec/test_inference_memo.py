@@ -217,9 +217,9 @@ def test_function_memo_hit_outranks_inference_memo(tmp_path):
     """With both tiers warm the function memo wins (it also skips
     TASE), and the ledger tier stays ``memo``."""
     code = _code()
-    cold = SigRec(inference_memo=True, memo_dir=str(tmp_path))
+    cold = SigRec(memo=True, inference_memo=True, memo_dir=str(tmp_path))
     expected = [_key(s) for s in cold.recover(code)]
-    warm = SigRec(inference_memo=True, memo_dir=str(tmp_path))
+    warm = SigRec(memo=True, inference_memo=True, memo_dir=str(tmp_path))
     assert [_key(s) for s in warm.recover(code)] == expected
     assert warm._last_tier == "memo"
     assert warm.last_inference_memo == (0, 0)
@@ -270,8 +270,8 @@ def test_memo_tiers_sharing_one_directory_keep_their_own_counts(tmp_path):
     corpus = build_clone_corpus(n_families=2, clones_per_family=2, seed=13)
     registry = MetricsRegistry()
     runner = BatchRecovery(
-        tool=SigRec(metrics=registry, inference_memo=True), workers=0,
-        cache_dir=str(tmp_path),
+        tool=SigRec(metrics=registry, memo=True, inference_memo=True),
+        workers=0, cache_dir=str(tmp_path),
     )
     runner.recover_all([case.contract.bytecode for case in corpus.cases])
     stats = runner.stats
@@ -303,6 +303,11 @@ def test_batch_tool_flag_disables_the_tier(tmp_path):
 
 
 # -- opt-in: the default path never keys an inference -------------------
+
+
+def test_function_memo_is_off_by_default():
+    assert SigRec().options()["memo"] is False
+    assert SigRec().function_memo() is None
 
 
 def test_inference_memo_is_off_by_default():

@@ -37,11 +37,11 @@ def _essence(results):
     ]
 
 
-def _run(codes, workers):
-    """Results, merged rule counts and memo probes of one call.  The
-    corpora here share no function body, so every probe is a miss unless
-    a store outlived its call."""
-    runner = BatchRecovery(tool=SigRec(), workers=workers)
+def _run(codes, workers, memo):
+    """Results, merged rule counts and function-memo probes of one call.
+    The corpora here share no function body, so with ``memo`` every
+    probe is a miss unless a store outlived its call."""
+    runner = BatchRecovery(tool=SigRec(memo=memo), workers=workers)
     results = runner.recover_all(codes)
     stats = runner.stats
     return (
@@ -85,17 +85,20 @@ def _dies_on(victim, flag=None):
 
 
 def test_parallel_matches_serial():
+    """On the default path and with the opt-in function memo."""
     a, b, c = _codes()
     codes = [a, b, a, c, b, a]
 
-    serial = _run(codes, workers=0)
-    assert serial[2][1] > 0  # the memo was probed
-    assert _run(codes, workers=4) == serial
-    pool = batch._POOL
-    assert pool is not None
-    # The second call runs on the first call's pool, and still as cold.
-    assert _run(codes, workers=4) == serial
-    assert batch._POOL is pool
+    for memo in (False, True):
+        serial = _run(codes, workers=0, memo=memo)
+        # Only an opted-in tool probes the memo.
+        assert (serial[2][1] > 0) is memo
+        assert _run(codes, workers=4, memo=memo) == serial
+        pool = batch._POOL
+        assert pool is not None
+        # The second call runs on the first call's pool, and still as cold.
+        assert _run(codes, workers=4, memo=memo) == serial
+        assert batch._POOL is pool
 
 
 def test_batch_recovery_matches_plain_recover_batch():
@@ -175,11 +178,14 @@ def test_warm_cache_throughput_renders_na_not_zero():
 def test_worker_death_is_retried_once(fresh_pool, monkeypatch, tmp_path):
     a, b, c = _codes()
     codes = [a, b, c, a]
-    serial = _run(codes, workers=0)
-    flag = tmp_path / "died"
-    monkeypatch.setattr(SigRec, "recover", _dies_on(b, flag))
-    assert _run(codes, workers=2) == serial
-    assert flag.exists()
+    for memo in (False, True):
+        serial = _run(codes, workers=0, memo=memo)
+        flag = tmp_path / f"died-{memo}"
+        batch.shutdown_pool()  # the workers must fork with the patch
+        with monkeypatch.context() as patch:
+            patch.setattr(SigRec, "recover", _dies_on(b, flag))
+            assert _run(codes, workers=2, memo=memo) == serial
+        assert flag.exists()
 
 
 def test_second_worker_death_raises_and_next_call_forks_afresh(
@@ -187,23 +193,44 @@ def test_second_worker_death_raises_and_next_call_forks_afresh(
 ):
     a, b, c = _codes()
     codes = [a, b, c]
-    serial = _run(codes, workers=0)
-    with monkeypatch.context() as patch:
-        patch.setattr(SigRec, "recover", _dies_on(b))
-        with pytest.raises(BrokenProcessPool):
-            _run(codes, workers=2)
-    assert batch._POOL is None
-    assert _run(codes, workers=2) == serial
+    for memo in (False, True):
+        serial = _run(codes, workers=0, memo=memo)
+        batch.shutdown_pool()  # the workers must fork with the patch
+        with monkeypatch.context() as patch:
+            patch.setattr(SigRec, "recover", _dies_on(b))
+            with pytest.raises(BrokenProcessPool):
+                _run(codes, workers=2, memo=memo)
+        assert batch._POOL is None
+        assert _run(codes, workers=2, memo=memo) == serial
 
 
-def test_finished_calls_free_their_memo_stores(tmp_path):
-    a, b, _ = _codes()
+def test_finished_calls_free_their_memo_stores(tmp_path, monkeypatch):
+    """A serial call drops the stores its units shared when it returns,
+    and when a unit raises."""
+    a, b, c = _codes()
     for name in ("one", "two", "three"):
         runner = BatchRecovery(
-            tool=SigRec(), workers=0, cache_dir=str(tmp_path / name)
+            tool=SigRec(memo=True), workers=0, cache_dir=str(tmp_path / name)
         )
         runner.recover_all([a, b])
-    assert len(batch._WORKER_STORES) == 1
+        assert runner.stats.memo_misses > 0
+        assert batch._WORKER_STORES == {}
+
+    recover = SigRec.recover
+    held = []
+
+    def failing(self, bytecode, **kwargs):
+        if bytecode == c:
+            held.append(len(batch._WORKER_STORES))
+            raise RuntimeError("unit failed")
+        return recover(self, bytecode, **kwargs)
+
+    monkeypatch.setattr(SigRec, "recover", failing)
+    runner = BatchRecovery(tool=SigRec(memo=True), workers=0)
+    with pytest.raises(RuntimeError, match="unit failed"):
+        runner.recover_all([a, c])
+    assert held == [1]
+    assert batch._WORKER_STORES == {}
 
 
 def test_pool_worker_keeps_nothing_of_an_earlier_call(

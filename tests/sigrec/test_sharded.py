@@ -48,9 +48,10 @@ def _key(sig):
 
 
 def _assert_equivalent(bytecode):
-    mono = SigRec(memo=False)
-    # A memo-backed tool shards (the batch-worker pattern).
-    shard = SigRec()
+    mono = SigRec()
+    # A tool that opts into the memo and holds one shards (the
+    # batch-worker pattern).
+    shard = SigRec(memo=True)
     shard.attach_store(FunctionMemo(shard.options()))
     expected = [_key(s) for s in mono.recover(bytecode)]
     actual = [_key(s) for s in shard.recover(bytecode)]
@@ -148,11 +149,13 @@ def test_memo_reuse_on_clone_corpus_is_proven_by_counters():
 
     expected = []
     for code in codes:
-        baseline = SigRec(memo=False)
+        baseline = SigRec()
         expected.append([_key(s) for s in baseline.recover(code)])
 
     registry = MetricsRegistry()
-    runner = BatchRecovery(tool=SigRec(metrics=registry), workers=0)
+    runner = BatchRecovery(
+        tool=SigRec(memo=True, metrics=registry), workers=0
+    )
     results = runner.recover_all(codes)
     assert [[_key(s) for s in sigs] for sigs in results] == expected
     stats = runner.stats
@@ -169,13 +172,15 @@ def test_memo_disk_tier_survives_processes(tmp_path):
     codes = [case.contract.bytecode for case in corpus.cases]
     base = codes[0]
 
-    first = SigRec(memo_dir=str(tmp_path))
+    first = SigRec(memo=True, memo_dir=str(tmp_path))
     expected = [_key(s) for s in first.recover(base)]
     memo = first.function_memo()
     assert memo.writes > 0
 
     # Fresh tool, cold memory tier, same directory: disk hits only.
-    second = SigRec(memo_dir=str(tmp_path), metrics=MetricsRegistry())
+    second = SigRec(
+        memo=True, memo_dir=str(tmp_path), metrics=MetricsRegistry()
+    )
     assert [_key(s) for s in second.recover(base)] == expected
     values = second.metrics.counter_values()
     assert values.get("memo.hits{tier=disk}", 0) > 0

@@ -183,10 +183,6 @@ def test_batch_scheduler_flags(token_hex, tmp_path, capsys):
     assert expected in captured.out
     assert "2 units (1 contracts split)" in captured.err
 
-    # The kill switch falls back to the monolithic engine, same output.
-    assert main(["batch", str(path), "--workers", "0", "--no-memo"]) == 0
-    assert expected in capsys.readouterr().out
-
     # The inference memo is off by default: identical output, no
     # infmemo line.
     assert main(["batch", str(path), "--workers", "0", "--time"]) == 0
@@ -200,12 +196,25 @@ def test_batch_inference_memo_summary(token_hex, tmp_path, capsys):
     per-process memo and the --time summary shows the probes."""
     path = tmp_path / "corpus.txt"
     path.write_text(f"{token_hex}\n{token_hex}\n")
-    args = ["batch", str(path), "--workers", "0", "--no-memo",
+    args = ["batch", str(path), "--workers", "0",
             "--inference-memo", "--time", "--cache-dir", str(tmp_path / "cache")]
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "0xa9059cbb(address,uint256)" in captured.out
     assert "infmemo" in captured.err
+
+
+def test_batch_writes_no_function_memo(token_hex, tmp_path, capsys):
+    """``repro batch`` keeps the function memo off: a run with a cache
+    directory writes its results there and nothing under ``fnmemo``."""
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"{token_hex}\n")
+    cache_dir = tmp_path / "cache"
+    assert main(["batch", str(path), "--workers", "0",
+                 "--cache-dir", str(cache_dir)]) == 0
+    assert "0xa9059cbb(address,uint256)" in capsys.readouterr().out
+    assert list(cache_dir.glob("*/*/*.json"))
+    assert not (cache_dir / "fnmemo").exists()
 
 
 def test_batch_and_library_share_one_cache(tmp_path, capsys):
