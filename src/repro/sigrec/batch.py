@@ -11,6 +11,10 @@ across cores.  :class:`BatchRecovery` composes four layers:
 2. **Persistent cache** — with a ``cache_dir``, finished results are
    read from / written to a content-addressed on-disk store
    (:mod:`repro.sigrec.cache`), so repeat runs skip the engine entirely.
+   The parent probes it; a unit that covers its whole contract writes
+   the contract's entry itself as soon as its ``recover`` returns, and
+   the parent writes only the entries of contracts split into several
+   units, once it has assembled them.
 3. **Opt-in memos** — with ``SigRec(memo=True)`` each worker process
    keeps a shared :class:`~repro.sigrec.cache.FunctionMemo` (plus an
    on-disk tier under ``<cache_dir>/fnmemo``), so a unit whose function
@@ -81,7 +85,7 @@ from repro.sigrec.cache import (
     ResultCache,
     options_fingerprint,
 )
-from repro.sigrec.selectors import extract_selectors
+from repro.sigrec.selectors import extract_selectors, selector_bound
 
 #: Default selector count above which one contract splits into several
 #: scheduler units.  Small enough that a monster dispatcher becomes
@@ -168,8 +172,8 @@ def _enter_run(token: str) -> None:
     and without the token a worker would start the next call warmer than
     a freshly forked one (serial and parallel counter aggregates could
     diverge) and hold what every earlier call left behind.  The serial
-    path keeps its program cache, which holds the decodes that
-    ``_units_for`` made for this very call.
+    path keeps its program cache: the decodes ``_units_for`` made for
+    this very call (of the few contracts it scanned) serve their units.
     """
     global _RUN_TOKEN
     if token == _RUN_TOKEN:
@@ -208,6 +212,7 @@ class UnitOutcome:
 def _analyze_unit(
     options: Dict[str, object],
     collect_metrics: bool,
+    cache_dir: Optional[str],
     memo_dir: Optional[str],
     token: str,
     obs_opts: Dict[str, object],
@@ -224,6 +229,11 @@ def _analyze_unit(
     wall time and each memo's (hits, misses) ride along for the
     ``contract.seconds`` histogram and the batch stats — the unit's
     ``recover`` tallies them, so they survive metrics-free runs.
+
+    With a ``cache_dir``, a unit that covers its whole contract writes
+    the contract's result-cache entry once ``recover`` returns (its
+    ``cache.writes`` count rides home in the unit's registry); a unit
+    that raises writes nothing.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
     (run-ledger records) and ``"profiler"`` (hot-loop attribution).
@@ -247,6 +257,11 @@ def _analyze_unit(
     start = time.perf_counter()
     signatures = tool.recover(bytecode, only=only, exclude=exclude)
     elapsed = time.perf_counter() - start
+    counts = {r: c for r, c in tool.tracker.counts.items() if c}
+    if cache_dir is not None and only is None and not exclude:
+        ResultCache(cache_dir, options, metrics=registry).put(
+            bytecode, signatures, counts
+        )
     obs: Optional[dict] = None
     if ledger is not None or profiler is not None:
         obs = {
@@ -257,7 +272,7 @@ def _analyze_unit(
         job_index=job_index,
         unit_index=unit_index,
         signatures=signatures,
-        counts={r: c for r, c in tool.tracker.counts.items() if c},
+        counts=counts,
         metrics=registry.to_dict() if registry is not None else None,
         elapsed=elapsed,
         memo=tool.last_memo,
@@ -464,6 +479,7 @@ class BatchRecovery:
             _analyze_unit,
             self.tool.options(),
             self.metrics is not NULL_REGISTRY,
+            self.cache.directory if self.cache is not None else None,
             self.memo_dir,
             os.urandom(8).hex(),  # memory-tier scope: this run only
             obs_opts,
@@ -534,17 +550,22 @@ class BatchRecovery:
         """Split one cache-miss contract into scheduler units.
 
         The split is purely a *scheduling* decision, derived from the
-        cheap static selector scan so it is identical for the serial and
-        parallel paths (counter parity).  Group 0 keeps ``only=None``
-        with the other groups excluded: it is the unit that claims the
-        fallback and any selector the static scan missed, so every
-        recovered selector belongs to exactly one unit.
+        static selector scan so it is identical for the serial and
+        parallel paths (counter parity).  Only a contract whose
+        :func:`~repro.sigrec.selectors.selector_bound` exceeds
+        ``unit_size`` can split, so only those are scanned (decoded)
+        here; every other contract goes whole to one unit, which
+        decodes it itself.  Group 0 keeps ``only=None`` with the other
+        groups excluded: it is the unit that claims the fallback and any
+        selector the static scan missed, so every recovered selector
+        belongs to exactly one unit.
         """
-        selectors = extract_selectors(code) if self.unit_size else []
-        if (
-            self.unit_size == 0
-            or len(selectors) <= self.unit_size
-        ):
+        selectors = (
+            extract_selectors(code)
+            if self.unit_size and selector_bound(code) > self.unit_size
+            else []
+        )
+        if len(selectors) <= self.unit_size:
             return [(job_index, 0, code, None, frozenset())]
         groups = [
             selectors[i:i + self.unit_size]
@@ -614,7 +635,13 @@ class BatchRecovery:
         outcomes: List[UnitOutcome],
         finished: Dict[int, List[RecoveredSignature]],
     ) -> None:
-        """Fold per-unit outcomes back into per-contract results."""
+        """Fold per-unit outcomes back into per-contract results.
+
+        A contract split into several units gets its result-cache entry
+        here: no single unit holds its full result.  Every other
+        contract's unit wrote its own (:func:`_analyze_unit`).
+        """
+        split = {o.job_index for o in outcomes if o.unit_index}
         partial_sigs: Dict[int, List[RecoveredSignature]] = {}
         partial_counts: Dict[int, Dict[str, int]] = {}
         partial_elapsed: Dict[int, float] = {}
@@ -653,5 +680,5 @@ class BatchRecovery:
             self.tool.tracker.merge(counts)
             if self.metrics is not NULL_REGISTRY:
                 self.metrics.histogram("contract.seconds").observe(elapsed)
-            if self.cache is not None:
+            if self.cache is not None and job_index in split:
                 self.cache.put(jobs[job_index], signatures, counts)

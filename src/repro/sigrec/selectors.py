@@ -40,3 +40,13 @@ def extract_selectors(bytecode: bytes) -> List[int]:
             selectors.add(instructions[i].operand)
         i = opcodes.find(_PUSH4, i + 1)
     return sorted(selectors)
+
+
+def selector_bound(bytecode: bytes) -> int:
+    """An upper bound on ``len(extract_selectors(bytecode))``, with no decode.
+
+    Every selector the scan returns is the operand of a distinct PUSH4
+    slot, and every slot starts with its opcode byte, so the count of
+    ``0x63`` bytes (PUSH immediates included) bounds the selector count.
+    """
+    return bytecode.count(_PUSH4)

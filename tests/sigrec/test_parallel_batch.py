@@ -4,6 +4,7 @@ on every call of the process's one pool, and through a worker's death."""
 
 import json
 import os
+import pathlib
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,9 +13,11 @@ import pytest
 from repro.abi.signature import FunctionSignature, Visibility
 from repro.compiler import compile_contract
 from repro.evm import predecode
+from repro.obs import MetricsRegistry
 from repro.sigrec import batch, expr
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery, BatchStats
+from repro.sigrec.cache import ResultCache
 
 
 def _codes():
@@ -275,3 +278,80 @@ def test_pool_worker_keeps_nothing_of_an_earlier_call(
     for entry in held:
         firsts.setdefault(entry["pid"], entry["nodes"])
     assert set(firsts.values()) == {forked}
+
+
+def _split_corpus():
+    """Contracts of 1, 2, 3 and 5 functions: at ``unit_size=2`` the last
+    two split, and the first two hold at most two ``0x63`` bytes."""
+    names = ["a(uint8)", "b(bytes)", "c(address,uint256)", "d(bool)", "e(string)"]
+    return [
+        compile_contract([FunctionSignature.parse(n) for n in names[:k]]).bytecode
+        for k in (1, 2, 3, 5)
+    ]
+
+
+def _entries(directory):
+    """Each result-cache entry under ``directory`` by relative path, with
+    the signatures' ``elapsed_seconds`` (wall-clock) dropped."""
+    found = {}
+    for path in pathlib.Path(directory).rglob("*.json"):
+        entry = json.loads(path.read_text())
+        for signature in entry["signatures"]:
+            del signature["elapsed_seconds"]
+        found[str(path.relative_to(directory))] = entry
+    return found
+
+
+def test_units_write_whole_contract_entries_and_the_parent_split_ones(tmp_path):
+    codes = _split_corpus()
+    entries, counters = {}, {}
+    for workers in (0, 2):
+        directory = str(tmp_path / f"workers-{workers}")
+        registry = MetricsRegistry()
+        predecode.clear_program_cache()
+        runner = BatchRecovery(
+            tool=SigRec(metrics=registry),
+            workers=workers,
+            cache_dir=directory,
+            unit_size=2,
+        )
+        results = runner.recover_all(codes)
+        assert runner.stats.split_contracts == 2
+        # The parent's own store counts only the entries it wrote; the
+        # units' writes arrive through their merged registries.
+        assert runner.cache.writes == runner.stats.split_contracts
+        counters[workers] = registry.counter_values()
+        assert counters[workers]["cache.writes"] == len(codes)
+        if workers:
+            # The parent decoded only the contracts it split.
+            assert set(predecode._PROGRAM_CACHE) == set(codes[2:])
+            warm = BatchRecovery(workers=workers, cache_dir=directory, unit_size=2)
+            assert _essence(warm.recover_all(codes)) == _essence(results)
+            assert warm.stats.cache_hit_rate == 1.0
+        entries[workers] = _entries(directory)
+    assert len(entries[0]) == len(codes)
+    assert entries[2] == entries[0]
+    assert counters[2] == counters[0]
+
+
+def test_a_failed_unit_writes_no_entry_and_finished_ones_stay(
+    tmp_path, monkeypatch
+):
+    """A serial call whose second unit raises keeps the first unit's
+    entry and writes none for the unit that raised."""
+    a, _, c = _codes()
+    recover = SigRec.recover
+
+    def failing(self, bytecode, **kwargs):
+        if bytecode == c:
+            raise RuntimeError("unit failed")
+        return recover(self, bytecode, **kwargs)
+
+    monkeypatch.setattr(SigRec, "recover", failing)
+    runner = BatchRecovery(workers=0, cache_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="unit failed"):
+        runner.recover_all([a, c])
+    cache = ResultCache(str(tmp_path), SigRec().options())
+    assert cache.get(a) is not None
+    assert cache.get(c) is None
+    assert cache.entry_count() == 1
