@@ -138,7 +138,7 @@ def _read_batch_source(source: str) -> List[bytes]:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import os
 
-    from repro.sigrec.batch import DEFAULT_UNIT_SIZE, BatchRecovery
+    from repro.sigrec.batch import BatchRecovery
 
     if args.cache_dir and os.path.exists(args.cache_dir) and not os.path.isdir(
         args.cache_dir
@@ -168,14 +168,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             profiler=profiler,
         )
         runner = BatchRecovery(
-            tool=tool,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            unit_size=(
-                args.unit_size
-                if args.unit_size is not None
-                else DEFAULT_UNIT_SIZE
-            ),
+            tool=tool, workers=args.workers, cache_dir=args.cache_dir
         )
         if args.serve_metrics is not None:
             from repro.obs.httpexp import TelemetryServer
@@ -639,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write (merge-accumulate) the metrics JSON document to FILE",
-    )
-    p.add_argument(
-        "--unit-size", type=int, default=None, metavar="K",
-        help="selectors per scheduler unit before a contract splits "
-        "into several work-stealing units (0 = never split)",
     )
     p.add_argument(
         "--inference-memo", dest="inference_memo",

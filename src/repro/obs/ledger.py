@@ -9,7 +9,7 @@ sums reconcile exactly with the registry), the cache/memo tier outcome,
 TASE step/fork/truncation tallies, and diagnostics — and
 :class:`~repro.sigrec.batch.BatchRecovery` merges worker records
 additively, the same pattern as the metrics documents, tagging each
-with its batch ``job`` and ``unit``.  It is the only per-recovery
+with its batch ``job``.  It is the only per-recovery
 record: ``repro report`` ranks its slowest recoveries from it.
 
 Two storage modes:

@@ -18,7 +18,7 @@ Sections:
 * **hotspots** — profiler step attribution aggregated across ledger
   records;
 * **slowest** — the slowest ledger records, each with its batch
-  job/unit, per-phase seconds and diagnostics.
+  job, per-phase seconds and diagnostics.
 
 ``repro report --metrics m.json --prometheus`` prints the Prometheus
 exposition of the same metrics document instead
@@ -184,9 +184,8 @@ def _slowest_section(records: List[Mapping], top: int) -> List[dict]:
             "phases": dict(record.get("phases") or {}),
             "diagnostics": list(record.get("diagnostics") or []),
         }
-        for key in ("job", "unit"):
-            if key in record:
-                entry[key] = record[key]
+        if "job" in record:
+            entry["job"] = record["job"]
         out.append(entry)
     return out
 
@@ -382,8 +381,6 @@ def _render_slowest(report: dict, lines: List[str], top: int) -> None:
         where = ""
         if "job" in entry:
             where = f"  job {entry['job']}"
-            if "unit" in entry:
-                where += f" unit {entry['unit']}"
         functions = entry.get("functions")
         dominant = entry.get("dominant_phase")
         lines.append(

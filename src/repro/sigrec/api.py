@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import ContractAnalysis, Diagnostic, analyze, cross_check
 from repro.obs import (
@@ -34,17 +34,10 @@ from repro.sigrec.rules import RuleTracker
 from repro.sigrec.selectors import extract_selectors
 
 #: How many static analyses one SigRec instance keeps.  ``recover``,
-#: ``abi``, ``profile`` and sharded re-runs all need the same
-#: per-bytecode analysis; the memo makes it one CFG/dispatcher walk
-#: per bytecode per instance instead of one per call.
+#: ``abi`` and ``profile`` all need the same per-bytecode analysis; the
+#: memo makes it one CFG/dispatcher walk per bytecode per instance
+#: instead of one per call.
 _ANALYSIS_MEMO_SIZE = 16
-
-
-def _passes(
-    selector: int, only: Optional[FrozenSet[int]], exclude: FrozenSet[int]
-) -> bool:
-    """The selector filter used by (contract, selector-group) units."""
-    return (only is None or selector in only) and selector not in exclude
 
 
 @dataclass(frozen=True)
@@ -83,14 +76,12 @@ class SigRec:
     frequency study is produced.
 
     A ``recover`` call runs one monolithic TASE walk from the entry
-    unless per-selector shards can save work (:meth:`_shards`): a
-    selector-group call (``only``/``exclude``) explores only the wanted
-    selectors, and a tool that opts into the function memo
-    (``memo=True``) and has one (a ``memo_dir``, or a store a batch
-    worker attached) can skip memoized bodies.  The rule reads the
-    tool's configuration and the call, never an earlier call.  Both
-    strategies give identical results unless a walk truncates: a shard
-    has a path budget of its own.
+    unless per-selector shards can save work (:meth:`_shards`): a tool
+    that opts into the function memo (``memo=True``) and has one (a
+    ``memo_dir``, or a store a batch worker attached) can skip memoized
+    bodies.  The rule reads the tool's configuration, never an earlier
+    call.  Both strategies give identical results unless a walk
+    truncates: a shard has a path budget of its own.
     """
 
     def __init__(
@@ -158,11 +149,11 @@ class SigRec:
         #: most recent ``recover`` call actually used.
         self.last_strategy: str = "monolithic"
         #: Cache-tier outcome of the most recent ``recover`` call:
-        #: "cold" (everything explored), "memo" (every wanted selector
-        #: replayed from the function memo), "inference-memo" (every
-        #: inference replayed from the inference memo), or either with
-        #: a "-partial" suffix.  The "result-cache" tier is recorded by
-        #: the batch parent, which never calls ``recover`` for those
+        #: "cold" (everything explored), "memo" (every recovered
+        #: selector replayed from the function memo), "inference-memo"
+        #: (every inference replayed from the inference memo), or either
+        #: with a "-partial" suffix.  The "result-cache" tier is recorded
+        #: by the batch parent, which never calls ``recover`` for those
         #: contracts.
         self._last_tier: str = "cold"
         #: (memo hits, memo misses) of the most recent ``recover``.
@@ -265,27 +256,14 @@ class SigRec:
         with phase_span(self.metrics, "tase"):
             return engine.run()
 
-    def recover(
-        self,
-        bytecode: bytes,
-        *,
-        only: Optional[FrozenSet[int]] = None,
-        exclude: FrozenSet[int] = frozenset(),
-    ) -> List[RecoveredSignature]:
+    def recover(self, bytecode: bytes) -> List[RecoveredSignature]:
         """Recover the signatures of all public/external functions.
 
-        ``only``/``exclude`` restrict which selectors are inferred
-        (a selector is recovered iff it passes both filters); the batch
-        scheduler uses them to split one contract into independent
-        (contract, selector-group) work units.  With the default
-        ``None``/empty values the behavior is the historical whole-
-        contract recovery.  :attr:`last_strategy` records whether the
-        call sharded.
+        :attr:`last_strategy` records whether the call sharded.
         """
         publish = self.metrics is not NULL_REGISTRY
         fired_before = dict(self.tracker.counts) if publish else {}
         conflicts_before = dict(self.tracker.conflicts) if publish else {}
-        partial = only is not None or bool(exclude)
         phases_before: Optional[Dict[str, float]] = None
         hot_before: Optional[Dict[int, int]] = None
         started = 0.0
@@ -296,7 +274,7 @@ class SigRec:
             started = time.perf_counter()
         self.last_memo = (0, 0)
         with phase_span(self.metrics, "recover"):
-            sharding = self._shards(partial)
+            sharding = self._shards()
             analysis: Optional[ContractAnalysis] = None
             if self.static_check or sharding:
                 analysis = self._analyze(bytecode)
@@ -306,14 +284,12 @@ class SigRec:
             if plan is not None:
                 self.last_strategy = "sharded"
                 result, memo_hits, memo_keys = self._recover_sharded(
-                    bytecode, analysis, plan, only, exclude
+                    bytecode, analysis, plan
                 )
             else:
                 self.last_strategy = "monolithic"
                 result = self._run_engine(bytecode)
-            recovered = self._infer(
-                result, only, exclude, memo_hits, memo_keys
-            )
+            recovered = self._infer(result, memo_hits, memo_keys)
             self._last_tier = "cold"
             for tier, hits in (
                 ("memo", self.last_memo[0]),
@@ -324,9 +300,7 @@ class SigRec:
                         tier if hits == len(recovered) else f"{tier}-partial"
                     )
                     break
-            self.last_diagnostics = self._diagnose(
-                analysis, result, partial=partial
-            )
+            self.last_diagnostics = self._diagnose(analysis, result)
         if publish:
             self._publish_recover_metrics(
                 recovered, fired_before, conflicts_before
@@ -340,7 +314,6 @@ class SigRec:
                     phases_before or {},
                     hot_before,
                     time.perf_counter() - started,
-                    partial,
                 )
             )
         return recovered
@@ -353,7 +326,6 @@ class SigRec:
         phases_before: Dict[str, float],
         hot_before: Optional[Dict[int, int]],
         elapsed: float,
-        partial: bool,
     ) -> dict:
         """One run-ledger record for the ``recover`` call just finished."""
         from repro.sigrec.cache import options_fingerprint
@@ -365,7 +337,6 @@ class SigRec:
             "fingerprint": options_fingerprint(self.options()),
             "strategy": self.last_strategy,
             "tier": self._last_tier,
-            "partial": partial,
             "functions": len(recovered),
             "elapsed_seconds": round(elapsed, 9),
             "phases": {
@@ -401,20 +372,17 @@ class SigRec:
                 record["hotspots"] = [list(pair) for pair in hotspots]
         return record
 
-    def _shards(self, partial: bool) -> bool:
-        """Whether this call may run per-selector shards.
+    def _shards(self) -> bool:
+        """Whether a call may run per-selector shards.
 
         Shards cost more than one walk — the plan needs the jump
         fixpoint, and each shard re-walks the dispatcher spine — and pay
-        only where they save work: a ``partial`` (selector-group) call
-        explores just its wanted selectors, and an opted-in function
-        memo (an on-disk ``memo_dir``, or a store a batch worker
-        attached) can skip whole functions.  Every other call runs one
-        monolithic walk.
-        The answer depends on the configuration and this call alone, so
-        an earlier call never changes it.
+        only where an opted-in function memo (an on-disk ``memo_dir``,
+        or a store a batch worker attached) can skip whole functions.
+        Every other call runs one monolithic walk.  The answer depends
+        on the configuration alone, so an earlier call never changes it.
         """
-        return partial or self.function_memo() is not None
+        return self.function_memo() is not None
 
     def _shard_plan(self, analysis: ContractAnalysis):
         """The sorted selector list to shard on, or None → monolithic.
@@ -435,8 +403,6 @@ class SigRec:
         bytecode: bytes,
         analysis: ContractAnalysis,
         plan: Tuple[int, ...],
-        only: Optional[FrozenSet[int]],
-        exclude: FrozenSet[int],
     ) -> Tuple[TASEResult, Dict[int, object], Dict[int, str]]:
         """Per-selector shards + residual walk, skipping memoized bodies.
 
@@ -445,7 +411,6 @@ class SigRec:
         both by selector, for :meth:`_infer`.
         """
         known = frozenset(plan)
-        wanted = [s for s in plan if _passes(s, only, exclude)]
         memo = self.function_memo()
         hits: Dict[int, object] = {}
         miss_keys: Dict[int, str] = {}
@@ -458,7 +423,7 @@ class SigRec:
             )
         with phase_span(self.metrics, "tase"):
             parts: List[TASEResult] = []
-            for selector in wanted:
+            for selector in plan:
                 if memo is not None:
                     preimage = analysis.function_preimage(selector)
                     if preimage is not None:
@@ -470,11 +435,8 @@ class SigRec:
                         miss_keys[selector] = key
                 parts.append(engine.run_selector(selector, known))
             # The residual walk covers the fallback and any selector the
-            # static dispatcher missed.  A selector-group unit whose
-            # ``only`` set is fully covered by per-selector shards can
-            # skip it: residual discoveries could not pass its filter.
-            if only is None or (set(only) - set(plan)):
-                parts.append(engine.run_residual(known))
+            # static dispatcher missed.
+            parts.append(engine.run_residual(known))
             result = merge_tase_results(parts)
             result.selectors = sorted(set(result.functions) | set(hits))
             engine.publish_metrics(result)
@@ -484,13 +446,11 @@ class SigRec:
     def _infer(
         self,
         result: TASEResult,
-        only: Optional[FrozenSet[int]],
-        exclude: FrozenSet[int],
         memo_hits: Dict[int, object],
         memo_keys: Dict[int, str],
     ) -> List[RecoveredSignature]:
-        """Inference for every wanted function: the one per-function path
-        of sharded and monolithic recovery.
+        """Inference for every recovered function: the one per-function
+        path of sharded and monolithic recovery.
 
         A function-memo hit (``memo_hits``) is replayed.  Any other
         function probes the inference memo (keyed by its event digest)
@@ -510,8 +470,6 @@ class SigRec:
         inf_hits = inf_misses = 0
         with phase_span(self.metrics, "inference"):
             for selector in result.selectors:
-                if not _passes(selector, only, exclude):
-                    continue
                 record = memo_hits.get(selector)
                 if record is not None:
                     recovered.append(self._replay(record, selector))
@@ -565,7 +523,6 @@ class SigRec:
         self,
         analysis: Optional[ContractAnalysis],
         result: TASEResult,
-        partial: bool = False,
     ) -> Tuple[Diagnostic, ...]:
         """Truncation warnings first, then the static/TASE cross-check.
 
@@ -598,10 +555,7 @@ class SigRec:
                     ),
                 )
             )
-        if self.static_check and analysis is not None and not partial:
-            # A filtered (selector-group) recovery only explores part of
-            # the contract; comparing its selector set against the full
-            # static map would report spurious divergences.
+        if self.static_check and analysis is not None:
             diagnostics.extend(cross_check(analysis, result.selectors))
         return tuple(diagnostics)
 

@@ -11,10 +11,8 @@ across cores.  :class:`BatchRecovery` composes four layers:
 2. **Persistent cache** — with a ``cache_dir``, finished results are
    read from / written to a content-addressed on-disk store
    (:mod:`repro.sigrec.cache`), so repeat runs skip the engine entirely.
-   The parent probes it; a unit that covers its whole contract writes
-   the contract's entry itself as soon as its ``recover`` returns, and
-   the parent writes only the entries of contracts split into several
-   units, once it has assembled them.
+   The parent only probes it; each unit writes its contract's entry
+   itself as soon as its ``recover`` returns.
 3. **Opt-in memos** — with ``SigRec(memo=True)`` each worker process
    keeps a shared :class:`~repro.sigrec.cache.FunctionMemo` (plus an
    on-disk tier under ``<cache_dir>/fnmemo``), so a unit whose function
@@ -24,25 +22,23 @@ across cores.  :class:`BatchRecovery` composes four layers:
    same directory: when a body's preimage differs but its canonical
    event stream matches, TASE still runs yet the type-inference pass is
    replayed from the memo.  Both are off by default, so a default unit
-   that is not split runs one monolithic walk, writes nothing under
-   ``fnmemo`` and recovers exactly what a plain ``recover`` does (a
-   split unit shards by its selector group).
-4. **Work-stealing scheduler** — cache misses become (contract,
-   selector-group) *units* on one shared queue drained by a
+   runs one monolithic walk and writes nothing under ``fnmemo``.
+4. **Work-stealing scheduler** — every cache miss becomes one *unit*,
+   a whole contract, on one shared queue drained by a
    ``ProcessPoolExecutor`` via ``submit``/``as_completed``: a free
    worker immediately pulls the next unit instead of idling behind a
-   pre-assigned straggler.  Contracts with many selectors split into
-   several units, so one pathological contract no longer serializes the
-   tail of the run.  ``workers=0`` drains the identical unit list
-   serially, producing byte-identical results and counters.  The pool
-   lives as long as the process: the first parallel drain forks it,
-   every later call with the same worker count reuses it (another count
-   replaces it), so a call pays no fork and no join.  A worker's state
-   lives for one call (:func:`_enter_run`).  A worker sees the parent's
-   modules as they were at the fork: a patch made after the fork does
-   not reach it, so patch after :func:`shutdown_pool`.  A worker that
-   dies breaks the pool; the call drops it, forks a fresh one and
-   resubmits its unfinished units, once.
+   pre-assigned straggler.  A unit is exactly one ``recover`` call, so a
+   batch result equals per-contract ``recover`` at any worker count.
+   ``workers=0`` drains the identical unit list serially, producing
+   byte-identical results and counters.  The pool lives as long as the
+   process: the first parallel drain forks it, every later call with
+   the same worker count reuses it (another count replaces it), so a
+   call pays no fork and no join.  A process's state lives for one call
+   (:func:`_enter_run`).  A worker sees the parent's modules as they
+   were at the fork: a patch made after the fork does not reach it, so
+   patch after :func:`shutdown_pool`.  A worker that dies breaks the
+   pool; the call drops it, forks a fresh one and resubmits its
+   unfinished units, once.
 
 Each unit runs with a fresh :class:`RuleTracker` and the per-unit
 counts are merged back into the parent tool's tracker (rule counters
@@ -52,9 +48,8 @@ count and any cache state.
 
 Telemetry rides the tool's backends the same way: worker metrics
 documents merge into the tool's registry, and the run ledger gets one
-record per unit (tagged with its ``job``/``unit``) plus one per
-result-cache hit.  That ledger record is the batch's only per-recovery
-record.
+record per unit (tagged with its ``job``) plus one per result-cache
+hit.  That ledger record is the batch's only per-recovery record.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evm.predecode import clear_program_cache
 from repro.obs import (
@@ -85,26 +80,21 @@ from repro.sigrec.cache import (
     ResultCache,
     options_fingerprint,
 )
-from repro.sigrec.selectors import extract_selectors, selector_bound
 
-#: Default selector count above which one contract splits into several
-#: scheduler units.  Small enough that a monster dispatcher becomes
-#: parallel work, large enough that typical contracts stay one unit
-#: (per-unit overhead is one fresh SigRec + one static analysis).
+#: The selector count above which a contract once split into several
+#: scheduler units.  Nothing here reads it: the benchmark's input
+#: generator (``perfbench/inputs.py``) imports it to size two
+#: ``clone-fleet`` families.
 DEFAULT_UNIT_SIZE = 8
 
-#: One (contract, selector-group) scheduler unit:
-#: (job index, unit index, bytecode, only, exclude).
-_Unit = Tuple[int, int, bytes, Optional[FrozenSet[int]], FrozenSet[int]]
+#: One scheduler unit, a whole contract: (job index, bytecode).
+_Unit = Tuple[int, bytes]
 
 #: The process's one worker pool and its worker count (:func:`_pool`);
 #: the lock makes getting, replacing and dropping the pool atomic.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
-
-#: True in a pool worker: its initializer sets it.
-_IN_WORKER = False
 
 #: The run token of the ``recover_all`` call whose units this process
 #: ran last (:func:`_enter_run`).
@@ -122,11 +112,6 @@ _RUN_TOKEN: Optional[str] = None
 _WORKER_STORES: Dict[Tuple[type, str, Optional[str]], ContentStore] = {}
 
 
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The process's pool of ``workers`` workers, made on first use.
 
@@ -139,9 +124,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
             _POOL.shutdown()
             _POOL = None
         if _POOL is None:
-            _POOL = ProcessPoolExecutor(
-                max_workers=workers, initializer=_mark_worker
-            )
+            _POOL = ProcessPoolExecutor(max_workers=workers)
             _POOL_WORKERS = workers
         return _POOL
 
@@ -167,21 +150,19 @@ def _enter_run(token: str) -> None:
     them: the first unit carrying a new run token (here), and the end of
     an in-process drain, on return or raise (``recover_all``).  So a
     finished serial call holds none, and a pool worker holds its last
-    call's stores until the next call reaches it.  In a pool worker the
-    token also empties the program cache: the pool outlives the call,
-    and without the token a worker would start the next call warmer than
-    a freshly forked one (serial and parallel counter aggregates could
-    diverge) and hold what every earlier call left behind.  The serial
-    path keeps its program cache: the decodes ``_units_for`` made for
-    this very call (of the few contracts it scanned) serve their units.
+    call's stores until the next call reaches it.  The token also
+    empties the program cache, in a pool worker and in a serial drain
+    alike: the pool outlives the call, and without the token a worker
+    would start the next call warmer than a freshly forked one (serial
+    and parallel counter aggregates could diverge) and hold what every
+    earlier call left behind.  So every call starts equally cold.
     """
     global _RUN_TOKEN
     if token == _RUN_TOKEN:
         return
     _RUN_TOKEN = token
     _WORKER_STORES.clear()
-    if _IN_WORKER:
-        clear_program_cache()
+    clear_program_cache()
 
 
 def _worker_store(
@@ -199,7 +180,6 @@ class UnitOutcome:
     """What one scheduler unit sends home from its worker."""
 
     job_index: int
-    unit_index: int
     signatures: List[RecoveredSignature]
     counts: Dict[str, int]  # the unit's rule-fire counts
     metrics: Optional[dict]  # the unit's serialized metrics registry
@@ -230,10 +210,9 @@ def _analyze_unit(
     ``contract.seconds`` histogram and the batch stats — the unit's
     ``recover`` tallies them, so they survive metrics-free runs.
 
-    With a ``cache_dir``, a unit that covers its whole contract writes
-    the contract's result-cache entry once ``recover`` returns (its
-    ``cache.writes`` count rides home in the unit's registry); a unit
-    that raises writes nothing.
+    With a ``cache_dir``, the unit writes its contract's result-cache
+    entry once ``recover`` returns (its ``cache.writes`` count rides
+    home in the unit's registry); a unit that raises writes nothing.
 
     ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
     (run-ledger records) and ``"profiler"`` (hot-loop attribution).
@@ -241,7 +220,7 @@ def _analyze_unit(
     merged additively by the parent — the same ship-the-document
     pattern as the metrics registry.
     """
-    job_index, unit_index, bytecode, only, exclude = unit
+    job_index, bytecode = unit
     _enter_run(token)
     registry = MetricsRegistry() if collect_metrics else None
     ledger = RunLedger() if obs_opts.get("ledger") else None
@@ -255,10 +234,10 @@ def _analyze_unit(
         if enabled:
             tool.attach_store(_worker_store(kind, options, memo_dir))
     start = time.perf_counter()
-    signatures = tool.recover(bytecode, only=only, exclude=exclude)
+    signatures = tool.recover(bytecode)
     elapsed = time.perf_counter() - start
     counts = {r: c for r, c in tool.tracker.counts.items() if c}
-    if cache_dir is not None and only is None and not exclude:
+    if cache_dir is not None:
         ResultCache(cache_dir, options, metrics=registry).put(
             bytecode, signatures, counts
         )
@@ -270,7 +249,6 @@ def _analyze_unit(
         }
     return UnitOutcome(
         job_index=job_index,
-        unit_index=unit_index,
         signatures=signatures,
         counts=counts,
         metrics=registry.to_dict() if registry is not None else None,
@@ -292,8 +270,10 @@ class BatchStats:
     cache_misses: int = 0
     workers: int = 0  # 0 = serial in-process
     elapsed_seconds: float = 0.0
-    units: int = 0  # scheduler units the analyzed jobs became
-    split_contracts: int = 0  # jobs that became more than one unit
+    # The benchmark's traced mode (``perfbench/run.py``) reads ``units``
+    # (always ``analyzed``) and ``split_contracts`` (always 0).
+    units: int = 0  # scheduler units: one per analyzed job
+    split_contracts: int = 0  # jobs split into several units: none
     memo_hits: int = 0  # function-body memo probes across all units
     memo_misses: int = 0
     inference_memo_hits: int = 0  # inference-memo probes across all units
@@ -348,10 +328,7 @@ class BatchStats:
             f"workers={self.workers or 'serial'}",
         ]
         if self.units:
-            unit_note = f"{self.units} units"
-            if self.split_contracts:
-                unit_note += f" ({self.split_contracts} contracts split)"
-            parts.append(unit_note)
+            parts.append(f"{self.units} units")
         if self.cache_hits or self.cache_misses:
             parts.append(
                 f"cache {self.cache_hits} hits / {self.cache_misses} misses "
@@ -384,8 +361,8 @@ class BatchRecovery:
     (the function memo only with ``SigRec(memo=True)``, the inference
     memo only with ``SigRec(inference_memo=True)``), which share
     ``<cache_dir>/fnmemo`` (:attr:`memo_dir`).
-    ``unit_size`` is the selector count above which one contract splits
-    into several scheduler units (``0`` disables splitting).
+    Each cache-miss contract is one scheduler unit, one ``recover``
+    call, so a batch returns exactly what per-contract ``recover`` does.
     """
 
     def __init__(
@@ -393,7 +370,6 @@ class BatchRecovery:
         tool: Optional[SigRec] = None,
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        unit_size: int = DEFAULT_UNIT_SIZE,
     ) -> None:
         self.tool = tool if tool is not None else SigRec()
         # Telemetry flows through the tool's backends: worker documents
@@ -406,7 +382,6 @@ class BatchRecovery:
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = max(0, workers)
-        self.unit_size = max(0, unit_size)
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir, self.tool.options(), metrics=self.metrics)
             if cache_dir is not None
@@ -434,7 +409,7 @@ class BatchRecovery:
         stats.unique = len(jobs)
 
         finished: Dict[int, List[RecoveredSignature]] = {}
-        pending: List[int] = []
+        units: List[_Unit] = []
         for index, code in enumerate(jobs):
             cached = self.cache.get(code) if self.cache is not None else None
             if cached is not None:
@@ -450,26 +425,17 @@ class BatchRecovery:
                         "bytes": len(code),
                         "strategy": "cached",
                         "tier": "result-cache",
-                        "partial": False,
                         "functions": len(signatures),
                         "elapsed_seconds": 0.0,
                         "phases": {},
                         "job": index,
                     })
             else:
-                pending.append(index)
+                units.append((index, code))
         if self.cache is not None:
-            stats.cache_hits = len(jobs) - len(pending)
-            stats.cache_misses = len(pending)
-        stats.analyzed = len(pending)
-
-        units: List[_Unit] = []
-        for index in pending:
-            job_units = self._units_for(index, jobs[index])
-            if len(job_units) > 1:
-                stats.split_contracts += 1
-            units.extend(job_units)
-        stats.units = len(units)
+            stats.cache_hits = len(jobs) - len(units)
+            stats.cache_misses = len(units)
+        stats.analyzed = stats.units = len(units)
 
         obs_opts: Dict[str, object] = {
             "ledger": self.ledger is not None,
@@ -497,7 +463,7 @@ class BatchRecovery:
                 stats.memo_misses += outcome.memo[1]
                 stats.inference_memo_hits += outcome.inference_memo[0]
                 stats.inference_memo_misses += outcome.inference_memo[1]
-            self._assemble(jobs, outcomes, finished)
+            self._assemble(outcomes, finished)
 
         by_code = {code: finished[i] for i, code in enumerate(jobs)}
         out = [list(by_code[code]) for code in bytecodes]
@@ -546,46 +512,6 @@ class BatchRecovery:
             out.append(profile)
         return out
 
-    def _units_for(self, job_index: int, code: bytes) -> List[_Unit]:
-        """Split one cache-miss contract into scheduler units.
-
-        The split is purely a *scheduling* decision, derived from the
-        static selector scan so it is identical for the serial and
-        parallel paths (counter parity).  Only a contract whose
-        :func:`~repro.sigrec.selectors.selector_bound` exceeds
-        ``unit_size`` can split, so only those are scanned (decoded)
-        here; every other contract goes whole to one unit, which
-        decodes it itself.  Group 0 keeps ``only=None`` with the other
-        groups excluded: it is the unit that claims the fallback and any
-        selector the static scan missed, so every recovered selector
-        belongs to exactly one unit.
-        """
-        selectors = (
-            extract_selectors(code)
-            if self.unit_size and selector_bound(code) > self.unit_size
-            else []
-        )
-        if len(selectors) <= self.unit_size:
-            return [(job_index, 0, code, None, frozenset())]
-        groups = [
-            selectors[i:i + self.unit_size]
-            for i in range(0, len(selectors), self.unit_size)
-        ]
-        units: List[_Unit] = [
-            (
-                job_index,
-                0,
-                code,
-                None,
-                frozenset().union(*groups[1:]),
-            )
-        ]
-        for unit_index, group in enumerate(groups[1:], start=1):
-            units.append(
-                (job_index, unit_index, code, frozenset(group), frozenset())
-            )
-        return units
-
     def _drain_parallel(
         self, analyze, units: List[_Unit]
     ) -> List[UnitOutcome]:
@@ -631,32 +557,21 @@ class BatchRecovery:
 
     def _assemble(
         self,
-        jobs: List[bytes],
         outcomes: List[UnitOutcome],
         finished: Dict[int, List[RecoveredSignature]],
     ) -> None:
-        """Fold per-unit outcomes back into per-contract results.
-
-        A contract split into several units gets its result-cache entry
-        here: no single unit holds its full result.  Every other
-        contract's unit wrote its own (:func:`_analyze_unit`).
-        """
-        split = {o.job_index for o in outcomes if o.unit_index}
-        partial_sigs: Dict[int, List[RecoveredSignature]] = {}
-        partial_counts: Dict[int, Dict[str, int]] = {}
-        partial_elapsed: Dict[int, float] = {}
+        """Fold per-unit outcomes into per-contract results and the
+        tool's tracker, registry, ledger and profiler."""
         for outcome in outcomes:
-            job_index, unit_index = outcome.job_index, outcome.unit_index
-            elapsed, obs = outcome.elapsed, outcome.obs
-            partial_sigs.setdefault(job_index, []).extend(outcome.signatures)
-            merged = partial_counts.setdefault(job_index, {})
-            for rule, count in outcome.counts.items():
-                merged[rule] = merged.get(rule, 0) + count
-            partial_elapsed[job_index] = (
-                partial_elapsed.get(job_index, 0.0) + elapsed
-            )
+            job_index, obs = outcome.job_index, outcome.obs
+            finished[job_index] = outcome.signatures
+            self.tool.tracker.merge(outcome.counts)
             if outcome.metrics is not None:
                 self.metrics.merge(outcome.metrics)
+            if self.metrics is not NULL_REGISTRY:
+                self.metrics.histogram("contract.seconds").observe(
+                    outcome.elapsed
+                )
             if obs is not None:
                 # Outcomes arrive in unit-submission order, so the
                 # merged ledger/profiles are deterministic for a given
@@ -664,21 +579,8 @@ class BatchRecovery:
                 if self.ledger is not None:
                     for record in obs["ledger"]:
                         record["job"] = job_index
-                        record["unit"] = unit_index
                     self.ledger.extend(obs["ledger"])
                 if self.profiler is not None and obs["profile"]:
                     self.profiler.merge(
                         {int(pc): c for pc, c in obs["profile"].items()}
                     )
-        for job_index, signatures in partial_sigs.items():
-            # Units cover disjoint selector sets, so sorting restores
-            # exactly the order a whole-contract recovery returns.
-            signatures.sort(key=lambda sig: sig.selector)
-            counts = partial_counts[job_index]
-            elapsed = partial_elapsed[job_index]
-            finished[job_index] = signatures
-            self.tool.tracker.merge(counts)
-            if self.metrics is not NULL_REGISTRY:
-                self.metrics.histogram("contract.seconds").observe(elapsed)
-            if self.cache is not None and job_index in split:
-                self.cache.put(jobs[job_index], signatures, counts)

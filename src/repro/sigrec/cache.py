@@ -442,8 +442,8 @@ class ResultCache(ContentStore):
         """The cached contract-profile document, or ``None``.
 
         Profiles ride in the same entry file as the signatures; an
-        entry written before profiling (or by a partial recovery) has
-        none, and a stale/corrupt entry reads as absent.
+        entry written before profiling has none, and a stale/corrupt
+        entry reads as absent.
         """
         found = self._read(bytecode)
         profile = found[0].get("profile") if found else None

@@ -104,38 +104,39 @@ def test_slowest_section_names_the_dominant_phase():
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_slowest_section_shows_each_units_phases_and_diagnostics(workers):
-    # unit_size=2 splits the five-selector contract into three units,
-    # and max_paths=3 truncates only the one walk over the two-selector
-    # contract: a mix of records with and without a diagnostic.
+    # Each contract is one unit with one record, and max_paths=3
+    # truncates the walks over the five- and two-selector contracts
+    # only: a mix of records with and without a diagnostic.
     ledger = RunLedger()
     tool = SigRec(metrics=MetricsRegistry(), ledger=ledger, max_paths=3)
-    runner = BatchRecovery(tool=tool, workers=workers, unit_size=2)
+    runner = BatchRecovery(tool=tool, workers=workers)
     runner.recover_all([
         _bytecode("a(uint8)", "b(bool)", "c(address)", "d(uint256)",
                   "e(bytes)"),
         _bytecode("f(uint8)"),
         _bytecode("g(uint256[])", "h(string)"),
+        _bytecode("k(bytes32)"),
     ])
-    assert runner.stats.split_contracts == 1
     records = ledger.all_records()
-    by_unit = {(r["job"], r["unit"]): r for r in records}
-    assert len(by_unit) == len(records) == 5
+    by_job = {r["job"]: r for r in records}
+    assert len(by_job) == len(records) == 4
 
     report = build_report(ledger_records=records, top=len(records))
     slowest = report["slowest"]
-    assert {(e["job"], e["unit"]) for e in slowest} == set(by_unit)
+    assert {e["job"] for e in slowest} == set(by_job)
     elapsed = [entry["elapsed_seconds"] for entry in slowest]
     assert elapsed == sorted(elapsed, reverse=True)
     for entry in slowest:
-        record = by_unit[entry["job"], entry["unit"]]
+        record = by_job[entry["job"]]
         assert entry["phases"] and entry["phases"] == record["phases"]
         assert entry["diagnostics"] == record["diagnostics"]
     flagged = [entry for entry in slowest if entry["diagnostics"]]
-    assert {entry["job"] for entry in flagged} == {2}
+    assert {entry["job"] for entry in flagged} == {0, 2}
 
     text = render_report(report, top=len(records))
     for entry in slowest:
-        assert f"job {entry['job']} unit {entry['unit']}" in text
+        assert f"  job {entry['job']}  " in text
+    assert " unit " not in text
     first = slowest[0]
     for phase, seconds in first["phases"].items():
         assert f"    {phase:<20} {seconds:.3f}s" in text

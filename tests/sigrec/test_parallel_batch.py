@@ -68,11 +68,12 @@ def _dies_on(victim, flag=None):
     """A ``SigRec.recover`` whose pool worker exits on ``victim``: every
     time, or only while ``flag`` does not exist (creating it)."""
     recover = SigRec.recover
+    parent = os.getpid()
 
     def dying(self, bytecode, **kwargs):
         if (
             bytecode == victim
-            and batch._IN_WORKER
+            and os.getpid() != parent
             and (flag is None or not flag.exists())
         ):
             if flag is not None:
@@ -280,13 +281,15 @@ def test_pool_worker_keeps_nothing_of_an_earlier_call(
     assert set(firsts.values()) == {forked}
 
 
-def _split_corpus():
-    """Contracts of 1, 2, 3 and 5 functions: at ``unit_size=2`` the last
-    two split, and the first two hold at most two ``0x63`` bytes."""
-    names = ["a(uint8)", "b(bytes)", "c(address,uint256)", "d(bool)", "e(string)"]
+def _entry_corpus():
+    """Contracts of 1, 2, 3 and 10 functions: a scheduler that split
+    contracts of more than 8 selectors would split the last one."""
+    names = ["a(uint8)", "b(bytes)", "c(address,uint256)"] + [
+        f"f{i}(uint{8 * (i % 4 + 1)})" for i in range(7)
+    ]
     return [
         compile_contract([FunctionSignature.parse(n) for n in names[:k]]).bytecode
-        for k in (1, 2, 3, 5)
+        for k in (1, 2, 3, 10)
     ]
 
 
@@ -303,29 +306,27 @@ def _entries(directory):
 
 
 def test_units_write_whole_contract_entries_and_the_parent_split_ones(tmp_path):
-    codes = _split_corpus()
+    """Every contract is one unit, so units write every entry and the
+    parent, which splits nothing, writes none and decodes nothing."""
+    codes = _entry_corpus()
     entries, counters = {}, {}
     for workers in (0, 2):
         directory = str(tmp_path / f"workers-{workers}")
         registry = MetricsRegistry()
         predecode.clear_program_cache()
         runner = BatchRecovery(
-            tool=SigRec(metrics=registry),
-            workers=workers,
-            cache_dir=directory,
-            unit_size=2,
+            tool=SigRec(metrics=registry), workers=workers, cache_dir=directory
         )
         results = runner.recover_all(codes)
-        assert runner.stats.split_contracts == 2
-        # The parent's own store counts only the entries it wrote; the
-        # units' writes arrive through their merged registries.
-        assert runner.cache.writes == runner.stats.split_contracts
+        assert runner.stats.units == runner.stats.analyzed == len(codes)
+        # The parent's own store only probes; the units' writes arrive
+        # through their merged registries.
+        assert runner.cache.writes == 0
         counters[workers] = registry.counter_values()
-        assert counters[workers]["cache.writes"] == len(codes)
+        assert counters[workers]["cache.writes"] == runner.stats.analyzed
         if workers:
-            # The parent decoded only the contracts it split.
-            assert set(predecode._PROGRAM_CACHE) == set(codes[2:])
-            warm = BatchRecovery(workers=workers, cache_dir=directory, unit_size=2)
+            assert not predecode._PROGRAM_CACHE
+            warm = BatchRecovery(workers=workers, cache_dir=directory)
             assert _essence(warm.recover_all(codes)) == _essence(results)
             assert warm.stats.cache_hit_rate == 1.0
         entries[workers] = _entries(directory)

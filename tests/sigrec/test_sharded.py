@@ -124,23 +124,6 @@ def test_engine_shards_union_to_the_monolithic_result():
     assert merged.sharded and merged.shards == len(parts)
 
 
-def test_only_exclude_partition_recovers_each_selector_once():
-    code = compile_contract(SIGS).bytecode
-    whole = {s.selector: _key(s) for s in SigRec().recover(code)}
-    selectors = sorted(whole)
-    first, rest = frozenset(selectors[:1]), frozenset(selectors[1:])
-
-    tool = SigRec()
-    part_a = tool.recover(code, only=first)
-    part_b = tool.recover(code, only=None, exclude=first)
-    got = {s.selector: _key(s) for s in part_a + part_b}
-    assert got == whole
-    assert {s.selector for s in part_a} == set(first)
-    assert {s.selector for s in part_b} == set(rest)
-    # Partial recoveries must not raise spurious cross-check findings.
-    assert tool.last_diagnostics == ()
-
-
 def test_memo_reuse_on_clone_corpus_is_proven_by_counters():
     """Satellite: >=50% shared bodies -> the memo hit counter shows it."""
     corpus = build_clone_corpus(n_families=4, clones_per_family=4, seed=11)
@@ -233,21 +216,3 @@ def test_function_memo_memory_tier_is_a_bounded_lru():
     assert memo.get(keys[0]) is None  # evicted
     assert memo.get(keys[2]) is not None
 
-
-def test_batch_unit_split_matches_whole_contract_recovery():
-    """A contract split across (contract, selector-group) units must
-    reassemble to exactly the unsplit recovery, serial and parallel."""
-    sigs = [FunctionSignature.parse(f"f{i}(uint{8 * (i % 4 + 1)})") for i in range(9)]
-    sigs.append(FunctionSignature.parse("g(bytes,uint256[])"))
-    code = compile_contract(sigs).bytecode
-    baseline_tool = SigRec()
-    baseline = [_key(s) for s in baseline_tool.recover(code)]
-    assert len(baseline) == 10
-    for workers in (0, 2):
-        tool = SigRec()
-        runner = BatchRecovery(tool=tool, workers=workers, unit_size=3)
-        results = runner.recover_all([code])
-        assert [_key(s) for s in results[0]] == baseline
-        assert tool.tracker.as_dict() == baseline_tool.tracker.as_dict()
-        assert runner.stats.units > 1
-        assert runner.stats.split_contracts == 1

@@ -3,9 +3,9 @@
 A fresh tool runs one monolithic TASE walk over cfg + dispatcher and
 writes no function-memo records, and so does a default batch unit.  A
 tool that opts into the function memo (``memo=True``) and holds one (a
-``memo_dir`` or an attached store) shards, and so does a selector-group
-call.  The rule reads the tool's configuration and the call alone: an
-earlier call never switches a later one to shards.
+``memo_dir`` or an attached store) shards.  The rule reads the tool's
+configuration alone: an earlier call never switches a later one to
+shards.
 """
 
 import pytest
@@ -32,10 +32,6 @@ def _code(*signatures):
 
 SIGNATURES = ("transfer(address,uint256)", "flag()", "set(bytes)")
 CODE = _code(*SIGNATURES)
-SELECTORS = sorted(
-    int.from_bytes(FunctionSignature.parse(s).selector, "big")
-    for s in SIGNATURES
-)
 
 
 def _essence(signatures):
@@ -145,7 +141,6 @@ def test_default_batch_keys_and_writes_no_function_memo(tmp_path):
     runner.recover_all([case.contract.bytecode for case in corpus.cases])
     assert not (tmp_path / "fnmemo").exists()
     assert (runner.stats.memo_hits, runner.stats.memo_misses) == (0, 0)
-    assert runner.stats.split_contracts == 0
     records = ledger.all_records()
     assert len(records) == runner.stats.units > 0
     for record in records:
@@ -154,18 +149,17 @@ def test_default_batch_keys_and_writes_no_function_memo(tmp_path):
 
 
 def test_default_batch_unit_recovers_what_plain_recover_does():
-    """``max_paths`` truncates these walks: a default unit spends one
-    path budget on its contract, as a plain ``recover`` does, and so
-    returns the same signatures and the same truncation diagnostics."""
+    """``max_paths`` truncates these walks: a batch unit spends one path
+    budget on its whole contract, as a plain ``recover`` does, and so
+    returns the same signatures and the same truncation diagnostics at
+    any worker count, for a contract of ten functions too."""
     codes = [
         _code("a(uint8)", "b(bool)", "c(address)", "d(uint256)", "e(bytes)"),
         _code("f(uint8)"),
         _code("g(uint256[])", "h(string)"),
+        _code(*(f"f{i}(uint{8 * (i % 4 + 1)})" for i in range(9)),
+              "g(bytes,uint256[])"),
     ]
-    ledger = RunLedger()
-    runner = BatchRecovery(tool=SigRec(max_paths=2, ledger=ledger), workers=0)
-    batch = runner.recover_all(codes)
-    assert runner.stats.split_contracts == 0
     plain = []
     for code in codes:
         tool = SigRec(max_paths=2)
@@ -173,43 +167,19 @@ def test_default_batch_unit_recovers_what_plain_recover_does():
         plain.append((signatures, [
             {"kind": d.kind, "detail": d.detail} for d in tool.last_diagnostics
         ]))
-    got = [
-        (_essence(signatures), record["diagnostics"])
-        for signatures, record in zip(batch, ledger.all_records())
-    ]
-    assert got == plain
     assert any(diagnostics for _, diagnostics in plain)
-
-
-def test_partial_call_without_a_memo_pulls_no_reach():
-    """A selector-group call on a store-less tool shards without a memo:
-    no preimages (so no ``reach``), no probes, no writes."""
-    metrics = MetricsRegistry()
-    ledger = RunLedger()
-    tool = SigRec(metrics=metrics, ledger=ledger)
-    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
-    assert tool.last_strategy == "sharded"
-    assert _pass_runs(metrics) == {"cfg": 1, "dispatcher": 1, "jumps": 1}
-    (record,) = ledger.all_records()
-    assert record["memo"] == {"hits": 0, "misses": 0}
-    assert tool.function_memo() is None
-
-
-def test_partial_call_leaves_the_next_call_monolithic(engine_calls):
-    tool = SigRec()
-    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
-    engine_calls.clear()
-    tool.recover(_code("a(uint8)"))
-    assert tool.last_strategy == "monolithic"
-    assert engine_calls == {"run": 1}
-
-
-def test_selector_group_calls_shard():
-    tool = SigRec(memo=False)
-    tool.recover(CODE, only=frozenset(SELECTORS[:1]))
-    assert tool.last_strategy == "sharded"
-    tool.recover(CODE, exclude=frozenset(SELECTORS[:1]))
-    assert tool.last_strategy == "sharded"
+    assert len(plain[-1][0]) < 10
+    for workers in (0, 2):
+        ledger = RunLedger()
+        runner = BatchRecovery(
+            tool=SigRec(max_paths=2, ledger=ledger), workers=workers
+        )
+        batch = runner.recover_all(codes)
+        got = [
+            (_essence(signatures), record["diagnostics"])
+            for signatures, record in zip(batch, ledger.all_records())
+        ]
+        assert got == plain, workers
 
 
 def test_memo_tool_without_dispatcher_falls_back(tmp_path):
@@ -232,12 +202,18 @@ def test_follow_up_abi_and_profile_reuse_cfg_and_dispatcher():
 def test_the_sharded_option_is_gone(capsys):
     with pytest.raises(TypeError):
         SigRec(sharded=False)
+    with pytest.raises(TypeError):
+        SigRec().recover(CODE, only=frozenset())
+    with pytest.raises(TypeError):
+        BatchRecovery(unit_size=2)
     options = SigRec().options()
     assert "sharded" not in options
     assert SigRec(**options).options() == options
     with pytest.raises(SystemExit):
         main(["batch", "--help"])
-    assert "--no-shard" not in capsys.readouterr().out
+    listed = capsys.readouterr().out
+    assert "--no-shard" not in listed
+    assert "--unit-size" not in listed
 
 
 def test_dispatcher_pass_needs_only_the_cfg():

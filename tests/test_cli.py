@@ -176,18 +176,13 @@ def test_batch_scheduler_flags(token_hex, tmp_path, capsys):
     path.write_text(f"{token_hex}\n")
     expected = "0xa9059cbb(address,uint256)"
 
-    # --unit-size 1 splits the two-selector contract into two units.
-    args = ["batch", str(path), "--workers", "0", "--unit-size", "1", "--time"]
-    assert main(args) == 0
-    captured = capsys.readouterr()
-    assert expected in captured.out
-    assert "2 units (1 contracts split)" in captured.err
-
-    # The inference memo is off by default: identical output, no
-    # infmemo line.
+    # The two-selector contract is one unit, and no contract splits.
+    # The inference memo is off by default: no infmemo line.
     assert main(["batch", str(path), "--workers", "0", "--time"]) == 0
     captured = capsys.readouterr()
     assert expected in captured.out
+    assert "1 units" in captured.err
+    assert "split" not in captured.err
     assert "infmemo" not in captured.err
 
 
@@ -613,16 +608,16 @@ def test_batch_ledger_is_the_reports_only_per_recovery_source(
     corpus.write_text(f"{token_hex}\n")
     ledger_path = tmp_path / "ledger.jsonl"
     assert main([
-        "batch", str(corpus), "--workers", "0", "--unit-size", "1",
+        "batch", str(corpus), "--workers", "0",
         "--ledger-out", str(ledger_path),
     ]) == 0
     capsys.readouterr()
     assert main(["report", "--ledger", str(ledger_path)]) == 0
     out = capsys.readouterr().out
     slowest = out[out.index("slowest recoveries"):].splitlines()
-    # Each unit of the split contract is one ranked entry, followed by
-    # its per-phase seconds.
-    assert re.match(r"  [0-9a-f]{16}  job 0 unit \d+  \d+\.\d{3}s  ", slowest[1])
+    # The contract's one unit is one ranked entry, followed by its
+    # per-phase seconds.
+    assert re.match(r"  [0-9a-f]{16}  job 0  \d+\.\d{3}s  ", slowest[1])
     assert any(re.fullmatch(r"    tase +\d+\.\d{3}s", line) for line in slowest)
 
 
