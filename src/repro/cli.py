@@ -5,19 +5,14 @@ Commands
 
 recover   Recover function signatures from runtime bytecode (hex).
 batch     Recover many contracts (parallel workers + persistent cache);
-          ``--metrics-out`` writes the metrics document, ``--ledger-out``
-          one run-ledger record per recovery, ``--profile-hotspots``
-          the hot-loop attribution, and ``--serve-metrics PORT``
-          exposes live ``/metrics`` + ``/healthz`` + ``/ledger/summary``
-          while the batch runs.
-report    One document over a metrics document and a run ledger:
-          phase-time attribution, engine work, rules, tier hit rates,
-          hotspots and the slowest recoveries with their per-phase
-          seconds and diagnostics (``--json`` for machines,
-          ``--prometheus`` for the metrics text exposition).
-serve-metrics
-          Standalone telemetry endpoint over saved ``--metrics-out`` /
-          ``--ledger-out`` documents.
+          ``--metrics-out`` writes the metrics document when the batch
+          ends, ``--ledger-out`` appends one run-ledger record per
+          recovery, and ``--profile-hotspots`` prints the hot-loop
+          attribution.
+report    The one reader of those two documents: phase-time attribution,
+          engine work, rules, tier hit rates, hotspots and the slowest
+          recoveries with their per-phase seconds and diagnostics
+          (``--json`` for machines).
 ids       Extract function ids only (static scan).
 disasm    Disassemble runtime bytecode.
 lint      Statically verify bytecode: stack discipline, jump targets,
@@ -145,56 +140,35 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     ):
         raise SystemExit(f"error: --cache-dir {args.cache_dir} is not a directory")
     bytecodes = _read_batch_source(args.source)
-    metrics = ledger = profiler = server = None
-    if args.metrics_out or args.serve_metrics is not None:
+    metrics = ledger = profiler = None
+    if args.metrics_out:
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    if args.ledger_out or args.serve_metrics is not None:
+    if args.ledger_out:
         from repro.obs import RunLedger
 
-        # ``--serve-metrics`` without ``--ledger-out`` keeps the ledger
-        # in memory purely for the ``/ledger/summary`` endpoint.
-        ledger = RunLedger(args.ledger_out or None)
+        ledger = RunLedger(args.ledger_out)
     if args.profile_hotspots:
         from repro.obs import HotLoopProfiler
 
         profiler = HotLoopProfiler()
-    try:
-        tool = SigRec(
-            inference_memo=args.inference_memo,
-            metrics=metrics,
-            ledger=ledger,
-            profiler=profiler,
-        )
-        runner = BatchRecovery(
-            tool=tool, workers=args.workers, cache_dir=args.cache_dir
-        )
-        if args.serve_metrics is not None:
-            from repro.obs.httpexp import TelemetryServer
-
-            server = TelemetryServer(
-                registry=metrics, ledger=ledger, port=args.serve_metrics
-            ).start()
-            print(f"serving telemetry on {server.url()}", file=sys.stderr)
-        if args.profiles_out:
-            # profile_all runs recover_all internally (cache-backed),
-            # then builds one deterministic profile per input.
-            profiles = runner.profile_all(bytecodes)
-        else:
-            profiles = None
-            results = runner.recover_all(bytecodes)
-        if server is not None and args.serve_hold > 0:
-            import time
-
-            print(
-                f"holding the endpoint for {args.serve_hold:g}s",
-                file=sys.stderr,
-            )
-            time.sleep(args.serve_hold)
-    finally:
-        if server is not None:
-            server.stop()
+    tool = SigRec(
+        inference_memo=args.inference_memo,
+        metrics=metrics,
+        ledger=ledger,
+        profiler=profiler,
+    )
+    runner = BatchRecovery(
+        tool=tool, workers=args.workers, cache_dir=args.cache_dir
+    )
+    if args.profiles_out:
+        # profile_all runs recover_all internally (cache-backed),
+        # then builds one deterministic profile per input.
+        profiles = runner.profile_all(bytecodes)
+    else:
+        profiles = None
+        results = runner.recover_all(bytecodes)
     if profiles is not None:
         for index, profile in enumerate(profiles):
             signatures = " ".join(
@@ -242,38 +216,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Standalone telemetry endpoint over saved documents."""
-    from repro.obs.httpexp import TelemetryServer
-
-    if not args.metrics and not args.ledger:
-        raise SystemExit("error: need --metrics and/or --ledger to serve")
-    server = TelemetryServer(
-        metrics_path=args.metrics,
-        ledger_path=args.ledger,
-        host=args.host,
-        port=args.port,
-    )
-    print(f"serving telemetry on {server.url()}", file=sys.stderr)
-    if args.hold is not None:
-        import time
-
-        server.start()
-        time.sleep(args.hold)
-        server.stop()
-        return 0
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     """One document over a run's metrics document and run ledger."""
     import json
+    import os
 
-    from repro.obs import load_metrics, read_ledger, render_prometheus
+    from repro.obs import load_metrics, read_ledger
     from repro.obs.report import build_report, render_report
 
     metrics_doc = ledger_records = None
@@ -283,12 +231,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"error: {args.metrics} is not a metrics document"
             )
-    if args.prometheus:
-        if metrics_doc is None:
-            raise SystemExit("error: --prometheus needs --metrics")
-        sys.stdout.write(render_prometheus(metrics_doc))
-        return 0
     if args.ledger:
+        if not os.path.isfile(args.ledger):
+            raise SystemExit(f"error: {args.ledger} is not a ledger file")
         ledger_records = read_ledger(args.ledger)
     if metrics_doc is None and ledger_records is None:
         raise SystemExit(
@@ -595,6 +540,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an integer that is 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -652,16 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-hotspots", action="store_true", default=False,
         help="attribute TASE steps to superblock entry pcs",
     )
-    p.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live /metrics, /healthz and /ledger/summary on PORT "
-        "(0 = ephemeral) while the batch runs",
-    )
-    p.add_argument(
-        "--serve-hold", type=float, default=0.0, metavar="SECONDS",
-        help="keep the --serve-metrics endpoint up SECONDS after the "
-        "batch finishes (for scrapers)",
-    )
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -675,27 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run-ledger JSONL written by batch --ledger-out")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report document")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_non_negative_int, default=10,
                    help="rows per ranking section")
-    p.add_argument("--prometheus", action="store_true",
-                   help="emit the Prometheus text exposition of --metrics "
-                   "instead")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "serve-metrics",
-        help="standalone /metrics + /healthz + /ledger/summary endpoint "
-        "over saved telemetry documents",
-    )
-    p.add_argument("--metrics", default=None, metavar="FILE",
-                   help="metrics JSON to expose (re-read per scrape)")
-    p.add_argument("--ledger", default=None, metavar="FILE",
-                   help="run-ledger JSONL to summarize (re-read per scrape)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9464)
-    p.add_argument("--hold", type=float, default=None, metavar="SECONDS",
-                   help="serve for SECONDS then exit (default: run forever)")
-    p.set_defaults(func=_cmd_serve_metrics)
 
     p = sub.add_parser("ids", help="extract function ids only")
     p.add_argument("bytecode")

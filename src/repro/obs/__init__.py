@@ -5,14 +5,12 @@ All pieces are process-local and dependency-free:
 * :mod:`repro.obs.metrics` — counters and fixed-bucket histograms in a
   mergeable :class:`MetricsRegistry`, with :data:`NULL_REGISTRY` as the
   no-op disabled backend;
-* :mod:`repro.obs.prom` — the Prometheus text exposition of a document;
 * :mod:`repro.obs.ledger` — the append-only run ledger, one record per
   recovery (the only per-recovery record, batch units included);
 * :mod:`repro.obs.profiler` — superblock hot-loop step attribution;
-* :mod:`repro.obs.httpexp` / :mod:`repro.obs.report` — the live
-  ``/metrics`` endpoint and the ``repro report`` document, built from a
-  metrics document and a ledger (imported lazily; not re-exported here
-  to keep this package import cheap).
+* :mod:`repro.obs.report` — the ``repro report`` document, built from a
+  metrics document and a ledger, the only reader of either (imported
+  lazily; not re-exported here to keep this package import cheap).
 
 :func:`phase_span` is the one-liner instrumented code uses at phase
 boundaries: on exit it observes the phase's duration into the
@@ -45,7 +43,6 @@ from repro.obs.metrics import (
     parse_key,
 )
 from repro.obs.profiler import HotLoopProfiler
-from repro.obs.prom import render_prometheus, validate_exposition
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
@@ -64,8 +61,6 @@ __all__ = [
     "parse_key",
     "phase_span",
     "read_ledger",
-    "render_prometheus",
-    "validate_exposition",
 ]
 
 

@@ -17,29 +17,24 @@ Two storage modes:
 * ``path=None`` — records accumulate in memory on :attr:`RunLedger.records`
   (the batch-worker mode: the parent ships the list home and appends it
   to its own ledger);
-* a file path — each record is one appended JSON line, with size-based
-  rotation (``ledger.jsonl`` -> ``ledger.jsonl.1`` -> ... up to
-  ``backups``), so an always-on service never grows one file without
-  bound.
+* a file path — each record is one appended JSON line.  The file keeps
+  every record written to it, so ``repro report`` sees a whole run
+  however large; delete the file to start fresh.
 
 The query helpers (:func:`top_by_elapsed`, :func:`summarize`) operate
-on plain record lists so they work equally on a live in-memory ledger
-and on :func:`read_ledger` output.  ``repro report`` can rank only the
-records a file ledger still holds: with the default rotation (16 MiB,
-3 backups) that is the newest ~86,000 records at ~780 bytes each.
+on plain record lists so they work equally on an in-memory ledger and
+on :func:`read_ledger` output.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from typing import Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "RunLedger",
-    "ledger_paths",
     "phase_delta",
     "phase_snapshot",
     "read_ledger",
@@ -50,34 +45,16 @@ __all__ = [
 #: Version of the ledger record layout.
 LEDGER_SCHEMA_VERSION = 1
 
-#: Default rotation threshold (bytes) and number of rotated backups.
-DEFAULT_MAX_BYTES = 16 * 1024 * 1024
-DEFAULT_BACKUPS = 3
-
 
 class RunLedger:
-    """Append-only JSONL ledger with size-based rotation.
+    """Append-only JSONL ledger, or an in-memory record list."""
 
-    Thread-safe: the batch parent appends cache-hit records while the
-    telemetry endpoint may be summarizing from another thread.
-    """
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        backups: int = DEFAULT_BACKUPS,
-    ) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.max_bytes = max_bytes
-        self.backups = max(0, backups)
         #: In-memory records (``path=None`` mode only).
         self.records: List[dict] = []
         #: Total records appended through this instance.
         self.written = 0
-        self._lock = threading.Lock()
         if path:
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
@@ -88,93 +65,54 @@ class RunLedger:
         """Append one record (a ``schema`` field is added if missing)."""
         payload = dict(record)
         payload.setdefault("schema", LEDGER_SCHEMA_VERSION)
-        with self._lock:
-            self.written += 1
-            if self.path is None:
-                self.records.append(payload)
-                return
-            line = json.dumps(payload, sort_keys=True) + "\n"
-            self._rotate_if_needed(len(line))
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
+        self.written += 1
+        if self.path is None:
+            self.records.append(payload)
+            return
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
     def extend(self, records: Iterable[Mapping]) -> None:
         """Append many records (the batch parent merging worker output)."""
         for record in records:
             self.append(record)
 
-    def _rotate_if_needed(self, incoming: int) -> None:
-        """Rotate ``path`` -> ``path.1`` -> ... when the next write would
-        push the active file past ``max_bytes``."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size == 0 or size + incoming <= self.max_bytes:
-            return
-        if self.backups == 0:
-            os.unlink(self.path)
-            return
-        oldest = f"{self.path}.{self.backups}"
-        if os.path.exists(oldest):
-            os.unlink(oldest)
-        for index in range(self.backups - 1, 0, -1):
-            source = f"{self.path}.{index}"
-            if os.path.exists(source):
-                os.replace(source, f"{self.path}.{index + 1}")
-        os.replace(self.path, f"{self.path}.1")
-
     # -- reading -------------------------------------------------------
 
     def all_records(self) -> List[dict]:
-        """Every record this ledger can see, oldest first.
+        """Every record this ledger holds, oldest first.
 
         In-memory mode returns a copy of :attr:`records`; file mode
-        re-reads the rotation chain, so records appended by other
-        processes to the same path are visible too.
+        re-reads the file, so records appended by other processes to the
+        same path are visible too.
         """
-        with self._lock:
-            if self.path is None:
-                return list(self.records)
+        if self.path is None:
+            return list(self.records)
         return read_ledger(self.path)
 
 
-def ledger_paths(path: str) -> List[str]:
-    """The rotation chain for ``path`` that exists on disk, oldest first."""
-    backups = []
-    index = 1
-    while os.path.exists(f"{path}.{index}"):
-        backups.append(f"{path}.{index}")
-        index += 1
-    chain = list(reversed(backups))
-    if os.path.exists(path):
-        chain.append(path)
-    return chain
-
-
 def read_ledger(path: str) -> List[dict]:
-    """Parse a ledger (including rotated backups), oldest record first.
+    """Parse the ledger file at ``path``, oldest record first.
 
-    Malformed lines — e.g. a final line truncated mid-write — are
-    skipped.
+    A file not yet written reads as no records.  Malformed lines — e.g.
+    a final line truncated mid-write — are skipped.
     """
     records: List[dict] = []
-    for chunk in ledger_paths(path):
-        try:
-            handle = open(chunk, "r", encoding="utf-8")
-        except OSError:
-            continue
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError:
+        return records
+    with handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                records.append(record)
     return records
 
 
@@ -232,7 +170,7 @@ def top_by_elapsed(records: Iterable[Mapping], n: int = 10) -> List[Mapping]:
 
 
 def summarize(records: Iterable[Mapping]) -> dict:
-    """Aggregate view of a record list (the ``/ledger/summary`` payload)."""
+    """Aggregate view of a record list (the report's ledger section)."""
     records = list(records)
     strategies: Dict[str, int] = {}
     tiers: Dict[str, int] = {}

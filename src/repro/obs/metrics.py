@@ -22,7 +22,7 @@ reproduction).  Design constraints:
 Metrics are addressed by a name plus optional labels, flattened into a
 stable string key (``rules.fired{rule=R4}``); the JSON document written
 by ``--metrics-out`` maps those keys to values and is what
-``repro report`` and the Prometheus exposition consume.
+``repro report`` reads.
 """
 
 from __future__ import annotations
@@ -291,9 +291,8 @@ def dump_metrics(
 
     With ``merge_existing`` (the default for ``--metrics-out``) an
     existing valid document at ``path`` is folded in first, so repeated
-    runs accumulate like Prometheus counters — a cold run's cache
-    misses and the warm rerun's hits end up in one document.  Delete
-    the file to reset.
+    runs accumulate — a cold run's cache misses and the warm rerun's
+    hits end up in one document.  Delete the file to reset.
 
     The load+merge+replace sequence is guarded by an advisory ``fcntl``
     lock on a ``<path>.lock`` sidecar, so two processes finishing at

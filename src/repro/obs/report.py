@@ -20,9 +20,8 @@ Sections:
 * **slowest** — the slowest ledger records, each with its batch
   job, per-phase seconds and diagnostics.
 
-``repro report --metrics m.json --prometheus`` prints the Prometheus
-exposition of the same metrics document instead
-(:func:`repro.obs.prom.render_prometheus`).
+``repro report`` is the only reader of both documents; ``--json``
+prints the same report machine-readably.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Run-ledger tests: rotation, queries, and recovery integration."""
+"""Run-ledger tests: storage modes, queries, and recovery integration."""
 
+import importlib
 import json
 
 import pytest
@@ -8,7 +9,6 @@ from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.obs import MetricsRegistry, RunLedger
 from repro.obs.ledger import (
-    ledger_paths,
     phase_delta,
     read_ledger,
     summarize,
@@ -25,7 +25,7 @@ def _bytecode(*sigs):
 
 
 # ----------------------------------------------------------------------
-# Storage modes and rotation
+# Storage modes
 # ----------------------------------------------------------------------
 
 
@@ -45,6 +45,9 @@ def test_in_memory_ledger_accumulates_records():
 
 def test_file_ledger_round_trips(tmp_path):
     path = str(tmp_path / "ledger.jsonl")
+    # A numbered file beside the ledger is not part of it.
+    with open(path + ".1", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"index": -1}) + "\n")
     ledger = RunLedger(path)
     for index in range(5):
         ledger.append({"index": index})
@@ -64,35 +67,15 @@ def test_read_ledger_skips_truncated_final_line(tmp_path):
     assert [record["index"] for record in records] == [0, 1]
 
 
-def test_rotation_chains_and_caps_backups(tmp_path):
-    path = str(tmp_path / "ledger.jsonl")
-    ledger = RunLedger(path, max_bytes=200, backups=2)
-    for index in range(40):
-        ledger.append({"index": index, "pad": "x" * 40})
-    chain = ledger_paths(path)
-    assert chain[-1] == path
-    assert len(chain) <= 3  # active file + at most 2 backups
-    records = read_ledger(path)
-    # Oldest records fell off the end of the chain, order is preserved.
-    indices = [record["index"] for record in records]
-    assert indices == sorted(indices)
-    assert indices[-1] == 39
-    assert len(indices) < 40
+def test_ledger_takes_only_a_path(tmp_path):
+    with pytest.raises(TypeError):
+        RunLedger(str(tmp_path / "ledger.jsonl"), max_bytes=200)
 
 
-def test_rotation_with_zero_backups_truncates(tmp_path):
-    path = str(tmp_path / "ledger.jsonl")
-    ledger = RunLedger(path, max_bytes=120, backups=0)
-    for index in range(20):
-        ledger.append({"index": index})
-    assert ledger_paths(path) == [path]
-    indices = [record["index"] for record in read_ledger(path)]
-    assert indices and indices[-1] == 19
-
-
-def test_bad_max_bytes_rejected():
-    with pytest.raises(ValueError):
-        RunLedger(max_bytes=0)
+@pytest.mark.parametrize("module", ["repro.obs.httpexp", "repro.obs.prom"])
+def test_no_telemetry_endpoint_or_exposition_module(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.obs import MetricsRegistry, RunLedger
 from repro.obs.report import build_report, render_report
 from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
-from tests.obs.test_prom import _sample_doc
 
 
 def _bytecode(*sigs):
@@ -191,6 +190,29 @@ def test_tier_section_includes_inference_memo():
                           "hit_rate": None},
     }}
     assert "inference memo" not in render_report(legacy)
+
+
+def _sample_doc():
+    registry = MetricsRegistry()
+    registry.counter("tase.runs").inc(4)
+    registry.counter("tase.paths").inc(40)
+    registry.counter("tase.steps").inc(4000)
+    registry.counter("tase.forks").inc(30)
+    registry.counter("tase.truncations", reason="max_paths").inc(2)
+    registry.counter("recover.calls").inc(4)
+    registry.counter("recover.functions").inc(9)
+    registry.counter("rules.fired", rule="R4").inc(9)
+    registry.counter("rules.fired", rule="R11").inc(3)
+    registry.counter("rules.conflicts", rule="R15").inc(2)
+    registry.counter("cache.hits").inc(3)
+    registry.counter("cache.misses").inc(1)
+    registry.counter("cache.invalidations").inc(1)
+    registry.counter("eval.contracts").inc(4)
+    registry.counter("eval.functions").inc(9)
+    registry.counter("eval.correct").inc(8)
+    registry.histogram("phase.seconds", phase="tase").observe(0.3)
+    registry.histogram("phase.seconds", phase="inference").observe(0.1)
+    return registry.to_dict()
 
 
 def test_render_report_covers_every_metrics_section():

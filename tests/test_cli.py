@@ -435,16 +435,20 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert counters["cache.hits"] == 1
     assert any(k.startswith("rules.fired{rule=") for k in counters)
 
-    # A batch writes no trace: the ledger is its per-recovery record.
-    with pytest.raises(SystemExit) as excinfo:
-        main(args + ["--trace-out", str(tmp_path / "t.jsonl")])
-    assert excinfo.value.code == 2
+    # A batch writes no trace (the ledger is its per-recovery record)
+    # and serves nothing: the documents are its only telemetry.
+    for flag, value in (
+        ("--trace-out", str(tmp_path / "t.jsonl")),
+        ("--serve-metrics", "0"),
+        ("--serve-hold", "1"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + [flag, value])
+        assert excinfo.value.code == 2, flag
     assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_report_renders_metrics_document_and_trace(token_hex, tmp_path, capsys):
-    from repro.obs import load_metrics, render_prometheus
-
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{token_hex}\n")
     metrics_path = tmp_path / "m.json"
@@ -457,17 +461,12 @@ def test_report_renders_metrics_document_and_trace(token_hex, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "engine" in out
     assert "rules (fired" in out
-    # The report reads a metrics document and a ledger, never a trace.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["report", "--metrics", str(metrics_path), "--trace", "t.jsonl"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
-    assert main(["report", "--metrics", str(metrics_path), "--prometheus"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE tase_paths counter" in out
-    assert "tase_paths " in out
-    # Exactly the exposition /metrics serves for the same document.
-    assert out == render_prometheus(load_metrics(str(metrics_path)))
+    # The report reads a metrics document and a ledger, never a trace,
+    # and renders no other format.
+    for extra in (["--trace", "t.jsonl"], ["--prometheus"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--metrics", str(metrics_path)] + extra)
+        assert excinfo.value.code == 2, extra
 
 
 def test_report_rejects_missing_metrics_document(tmp_path):
@@ -475,16 +474,40 @@ def test_report_rejects_missing_metrics_document(tmp_path):
         main(["report", "--metrics", str(tmp_path / "absent.json")])
 
 
-def test_report_prometheus_needs_metrics(tmp_path, capsys):
-    with pytest.raises(SystemExit, match="--prometheus needs --metrics"):
-        main(["report", "--prometheus"])
+def test_report_rejects_missing_ledger(tmp_path, capsys):
+    for path in (tmp_path / "absent.jsonl", tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--ledger", str(path)])
+        assert excinfo.value.code == f"error: {path} is not a ledger file"
+    assert capsys.readouterr().out == ""
+
+
+def test_report_rejects_negative_top(tmp_path, capsys):
+    import json
+
+    from repro.obs import RunLedger
+
+    ledger_path = tmp_path / "ledger.jsonl"
+    RunLedger(str(ledger_path)).extend(
+        {"elapsed_seconds": index / 100} for index in range(12)
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--ledger", str(ledger_path), "--top", "-1"])
+    assert excinfo.value.code == 2
+    assert "--top" in capsys.readouterr().err
+    # Zero rows stays a valid request.
+    assert main(["report", "--ledger", str(ledger_path), "--top", "0",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ledger"]["records"] == 12 and doc["slowest"] == []
 
 
 def test_stats_is_not_a_subcommand(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["stats", str(tmp_path / "m.json")])
-    assert excinfo.value.code == 2
-    assert "invalid choice: 'stats'" in capsys.readouterr().err
+    for command in ("stats", "serve-metrics"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_abi_command_emits_standard_abi_json(capsys):
@@ -526,32 +549,6 @@ def test_passes_command_lists_pipeline(capsys):
         "storage", "mutability", "returns", "lint",
     ]
     assert all(entry["version"] >= 1 for entry in doc)
-
-
-def _free_port():
-    import socket
-
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
-
-
-def _poll_http(url, deadline=5.0):
-    import time
-    import urllib.error
-    import urllib.request
-
-    end = time.monotonic() + deadline
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=1) as response:
-                return response.status, response.read()
-        except (urllib.error.URLError, ConnectionError):
-            if time.monotonic() >= end:
-                raise
-            time.sleep(0.05)
 
 
 def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
@@ -624,81 +621,6 @@ def test_batch_ledger_is_the_reports_only_per_recovery_source(
 def test_report_requires_a_source():
     with pytest.raises(SystemExit):
         main(["report"])
-
-
-def test_serve_metrics_requires_a_source():
-    with pytest.raises(SystemExit):
-        main(["serve-metrics"])
-
-
-def test_serve_metrics_command_serves_saved_documents(
-    token_hex, tmp_path, capsys
-):
-    import threading
-
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(f"{token_hex}\n")
-    metrics_path = tmp_path / "m.json"
-    ledger_path = tmp_path / "ledger.jsonl"
-    assert main([
-        "batch", str(corpus), "--workers", "0",
-        "--metrics-out", str(metrics_path),
-        "--ledger-out", str(ledger_path),
-    ]) == 0
-    capsys.readouterr()
-    port = _free_port()
-    thread = threading.Thread(target=main, args=([
-        "serve-metrics", "--metrics", str(metrics_path),
-        "--ledger", str(ledger_path), "--port", str(port), "--hold", "3",
-    ],))
-    thread.start()
-    try:
-        status, body = _poll_http(f"http://127.0.0.1:{port}/healthz")
-        assert (status, body) == (200, b"ok\n")
-        status, body = _poll_http(f"http://127.0.0.1:{port}/metrics")
-        assert status == 200 and b"tase_paths" in body
-        from repro.obs import validate_exposition
-
-        assert validate_exposition(body.decode("utf-8")) == []
-        status, body = _poll_http(f"http://127.0.0.1:{port}/ledger/summary")
-        import json
-
-        assert json.loads(body)["records"] == 1
-    finally:
-        thread.join()
-
-
-def test_batch_serve_metrics_holds_a_live_endpoint(token_hex, tmp_path):
-    import threading
-
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(f"{token_hex}\n")
-    port = _free_port()
-    thread = threading.Thread(target=main, args=([
-        "batch", str(corpus), "--workers", "0",
-        "--serve-metrics", str(port), "--serve-hold", "3",
-    ],))
-    thread.start()
-    try:
-        # The endpoint stays up through --serve-hold after the batch, so
-        # the scrape observes the completed run's counters and ledger.
-        status, body = _poll_http(f"http://127.0.0.1:{port}/metrics")
-        assert status == 200
-        deadline = 3.0
-        import json
-        import time
-
-        end = time.monotonic() + deadline
-        while b"recover_calls" not in body and time.monotonic() < end:
-            time.sleep(0.05)
-            _status, body = _poll_http(f"http://127.0.0.1:{port}/metrics")
-        assert b"recover_calls 1" in body
-        _status, summary = _poll_http(
-            f"http://127.0.0.1:{port}/ledger/summary"
-        )
-        assert json.loads(summary)["records"] == 1
-    finally:
-        thread.join()
 
 
 def test_batch_profiles_out_writes_one_document_per_contract(
