@@ -90,14 +90,16 @@ def test_warm_cache_skips_engine_entirely(record, tmp_path):
         codes, workers=0, cache_dir=cache_dir
     )
 
+    # The transcript is tracked, so it records only counts that repeat
+    # exactly from run to run, never host timings.
     record(
         "warm_cache",
         [
             "Persistent result cache: repeat run over an unchanged corpus",
             f"corpus: {len(codes)} unique contracts",
-            f"cold: {cold_elapsed:.3f}s ({cold_runner.stats.summary()})",
-            f"warm: {warm_elapsed:.3f}s ({warm_runner.stats.summary()})",
-            f"warm speedup: {cold_elapsed / warm_elapsed:.0f}x",
+            f"cold: {cold_runner.stats.cache_misses} cache misses",
+            f"warm: {warm_runner.stats.cache_hits} cache hits, "
+            f"{warm_runner.stats.analyzed} contracts analyzed",
             "paper context: 37,009,570 deployed contracts re-scanned daily "
             "need only diff against 368,679 cached uniques",
         ],

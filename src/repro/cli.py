@@ -6,13 +6,12 @@ Commands
 recover   Recover function signatures from runtime bytecode (hex).
 batch     Recover many contracts (parallel workers + persistent cache);
           ``--metrics-out`` writes the metrics document when the batch
-          ends, ``--ledger-out`` appends one run-ledger record per
-          recovery, and ``--profile-hotspots`` prints the hot-loop
-          attribution.
+          ends, and ``--ledger-out`` appends one run-ledger record per
+          recovery.
 report    The one reader of those two documents: phase-time attribution,
-          engine work, rules, tier hit rates, hotspots and the slowest
-          recoveries with their per-phase seconds and diagnostics
-          (``--json`` for machines).
+          engine work, rules, tier hit rates and the slowest recoveries
+          with their per-phase seconds and diagnostics (``--json`` for
+          machines).
 ids       Extract function ids only (static scan).
 disasm    Disassemble runtime bytecode.
 lint      Statically verify bytecode: stack discipline, jump targets,
@@ -140,7 +139,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     ):
         raise SystemExit(f"error: --cache-dir {args.cache_dir} is not a directory")
     bytecodes = _read_batch_source(args.source)
-    metrics = ledger = profiler = None
+    metrics = ledger = None
     if args.metrics_out:
         from repro.obs import MetricsRegistry
 
@@ -149,15 +148,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         from repro.obs import RunLedger
 
         ledger = RunLedger(args.ledger_out)
-    if args.profile_hotspots:
-        from repro.obs import HotLoopProfiler
-
-        profiler = HotLoopProfiler()
     tool = SigRec(
-        inference_memo=args.inference_memo,
-        metrics=metrics,
-        ledger=ledger,
-        profiler=profiler,
+        inference_memo=args.inference_memo, metrics=metrics, ledger=ledger
     )
     runner = BatchRecovery(
         tool=tool, workers=args.workers, cache_dir=args.cache_dir
@@ -209,8 +201,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"ledger: {args.ledger_out} ({ledger.written} records)",
             file=sys.stderr,
         )
-    if profiler is not None:
-        sys.stderr.write(profiler.render_table())
     if args.time:
         print(f"batch: {runner.stats.summary()}", file=sys.stderr)
     return 0
@@ -235,6 +225,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not os.path.isfile(args.ledger):
             raise SystemExit(f"error: {args.ledger} is not a ledger file")
         ledger_records = read_ledger(args.ledger)
+        if not ledger_records and os.path.getsize(args.ledger):
+            # Content with no record in it (another document, say) is
+            # not an empty run.
+            raise SystemExit(f"error: {args.ledger} is not a ledger file")
     if metrics_doc is None and ledger_records is None:
         raise SystemExit(
             "error: nothing to report — give --metrics and/or --ledger"
@@ -574,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with one hex bytecode per line, or a directory of .hex files",
     )
     p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_non_negative_int, default=None, metavar="N",
         help="process-pool size (default: all cores; 0 = serial)",
     )
     p.add_argument(
@@ -604,16 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger-out", default=None, metavar="FILE",
         help="append one run-ledger JSONL record per recovery to FILE",
     )
-    p.add_argument(
-        "--profile-hotspots", action="store_true", default=False,
-        help="attribute TASE steps to superblock entry pcs",
-    )
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
         "report",
-        help="phase attribution, engine work, rules, tier hit rates, "
-        "hotspots and slowest recoveries in one document",
+        help="phase attribution, engine work, rules, tier hit rates "
+        "and slowest recoveries in one document",
     )
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="metrics JSON written by batch --metrics-out")

@@ -7,7 +7,6 @@ All pieces are process-local and dependency-free:
   no-op disabled backend;
 * :mod:`repro.obs.ledger` — the append-only run ledger, one record per
   recovery (the only per-recovery record, batch units included);
-* :mod:`repro.obs.profiler` — superblock hot-loop step attribution;
 * :mod:`repro.obs.report` — the ``repro report`` document, built from a
   metrics document and a ledger, the only reader of either (imported
   lazily; not re-exported here to keep this package import cheap).
@@ -42,7 +41,6 @@ from repro.obs.metrics import (
     metric_key,
     parse_key,
 )
-from repro.obs.profiler import HotLoopProfiler
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
@@ -50,7 +48,6 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "Counter",
     "Histogram",
-    "HotLoopProfiler",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",

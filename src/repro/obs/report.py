@@ -15,8 +15,6 @@ Sections:
   per-record tier outcome counts from the ledger;
 * **scheduler / evaluation** — batch units and sharding, and accuracy
   when the run scored against ground truth;
-* **hotspots** — profiler step attribution aggregated across ledger
-  records;
 * **slowest** — the slowest ledger records, each with its batch
   job, per-phase seconds and diagnostics.
 
@@ -26,11 +24,10 @@ prints the same report machine-readably.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs.metrics import parse_key
 from repro.obs.ledger import summarize, top_by_elapsed
-from repro.obs.profiler import render_hotspots, top_hotspots
 
 __all__ = [
     "build_report",
@@ -147,16 +144,6 @@ def _counter_sections(doc: Mapping, phases: Mapping[str, dict]) -> dict:
     }
 
 
-def _aggregate_hotspots(records: Iterable[Mapping]) -> Dict[int, int]:
-    """Sum per-record ``hotspots`` tables across the ledger."""
-    counts: Dict[int, int] = {}
-    for record in records:
-        for entry in record.get("hotspots", []) or []:
-            pc, steps = int(entry[0]), int(entry[1])
-            counts[pc] = counts.get(pc, 0) + steps
-    return counts
-
-
 def _dominant_phase(record: Mapping) -> Optional[str]:
     phases = record.get("phases")
     if not isinstance(phases, Mapping) or not phases:
@@ -202,11 +189,6 @@ def build_report(
         report.update(_counter_sections(metrics_doc, report["phases"]))
     if ledger_records is not None:
         report["ledger"] = summarize(ledger_records)
-        hotspots = _aggregate_hotspots(ledger_records)
-        if hotspots:
-            report["hotspots"] = [
-                [pc, steps] for pc, steps in top_hotspots(hotspots, top)
-            ]
         report["slowest"] = _slowest_section(list(ledger_records), top)
     return report
 
@@ -407,11 +389,6 @@ def render_report(report: dict, top: int = 10) -> str:
     _render_tiers(report, lines)
     _render_batch(report, lines)
     _render_ledger(report, lines)
-    hotspots = report.get("hotspots")
-    if hotspots:
-        counts = {int(pc): int(steps) for pc, steps in hotspots}
-        lines.append(render_hotspots(counts, n=top).rstrip("\n"))
-        lines.append("")
     _render_slowest(report, lines, top)
     while lines and not lines[-1]:
         lines.pop()

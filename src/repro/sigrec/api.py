@@ -18,15 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import ContractAnalysis, Diagnostic, analyze, cross_check
-from repro.obs import (
-    NULL_REGISTRY,
-    HotLoopProfiler,
-    MetricsRegistry,
-    RunLedger,
-    phase_span,
-)
+from repro.obs import NULL_REGISTRY, MetricsRegistry, RunLedger, phase_span
 from repro.obs.ledger import phase_delta, phase_snapshot
-from repro.obs.profiler import top_hotspots
 from repro.sigrec.engine import TASEEngine, TASEResult, merge_tase_results
 from repro.sigrec.events import events_digest
 from repro.sigrec.inference import PredicateMemo, infer_function
@@ -99,7 +92,6 @@ class SigRec:
         inference_memo: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         ledger: Optional[RunLedger] = None,
-        profiler: Optional[HotLoopProfiler] = None,
     ) -> None:
         self.tracker = RuleTracker()
         # Observability backends: ``None`` means the shared null
@@ -109,7 +101,6 @@ class SigRec:
         # fingerprints.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.ledger = ledger
-        self.profiler = profiler
         if ledger is not None and self.metrics is NULL_REGISTRY:
             # Ledger records attribute per-phase seconds as deltas of the
             # ``phase.seconds`` histograms, which need a real registry.
@@ -250,7 +241,6 @@ class SigRec:
             engine = TASEEngine(
                 bytecode,
                 metrics=self.metrics,
-                profiler=self.profiler,
                 **self._engine_opts,
             )
         with phase_span(self.metrics, "tase"):
@@ -265,12 +255,9 @@ class SigRec:
         fired_before = dict(self.tracker.counts) if publish else {}
         conflicts_before = dict(self.tracker.conflicts) if publish else {}
         phases_before: Optional[Dict[str, float]] = None
-        hot_before: Optional[Dict[int, int]] = None
         started = 0.0
         if self.ledger is not None:
             phases_before = phase_snapshot(self.metrics)
-            if self.profiler is not None:
-                hot_before = self.profiler.snapshot()
             started = time.perf_counter()
         self.last_memo = (0, 0)
         with phase_span(self.metrics, "recover"):
@@ -312,7 +299,6 @@ class SigRec:
                     recovered,
                     result,
                     phases_before or {},
-                    hot_before,
                     time.perf_counter() - started,
                 )
             )
@@ -324,14 +310,13 @@ class SigRec:
         recovered: List[RecoveredSignature],
         result: TASEResult,
         phases_before: Dict[str, float],
-        hot_before: Optional[Dict[int, int]],
         elapsed: float,
     ) -> dict:
         """One run-ledger record for the ``recover`` call just finished."""
         from repro.sigrec.cache import options_fingerprint
 
         memo_hits, memo_misses = self.last_memo
-        record = {
+        return {
             "code_sha256": hashlib.sha256(bytecode).hexdigest(),
             "bytes": len(bytecode),
             "fingerprint": options_fingerprint(self.options()),
@@ -366,11 +351,6 @@ class SigRec:
                 for d in self.last_diagnostics
             ],
         }
-        if self.profiler is not None and hot_before is not None:
-            hotspots = top_hotspots(self.profiler.delta(hot_before), 16)
-            if hotspots:
-                record["hotspots"] = [list(pair) for pair in hotspots]
-        return record
 
     def _shards(self) -> bool:
         """Whether a call may run per-selector shards.
@@ -418,7 +398,6 @@ class SigRec:
             engine = TASEEngine(
                 bytecode,
                 metrics=self.metrics,
-                profiler=self.profiler,
                 **self._engine_opts,
             )
         with phase_span(self.metrics, "tase"):

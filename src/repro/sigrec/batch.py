@@ -65,12 +65,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evm.predecode import clear_program_cache
-from repro.obs import (
-    LEDGER_SCHEMA_VERSION,
-    NULL_REGISTRY,
-    HotLoopProfiler,
-    MetricsRegistry,
-)
+from repro.obs import LEDGER_SCHEMA_VERSION, NULL_REGISTRY, MetricsRegistry
 from repro.obs.ledger import RunLedger
 from repro.sigrec.api import RecoveredSignature, SigRec
 from repro.sigrec.cache import (
@@ -186,7 +181,7 @@ class UnitOutcome:
     elapsed: float
     memo: Tuple[int, int]  # function-memo (hits, misses)
     inference_memo: Tuple[int, int]  # inference-memo (hits, misses)
-    obs: Optional[dict]  # ledger records and hot-loop profile
+    obs: List[dict]  # the unit's run-ledger records
 
 
 def _analyze_unit(
@@ -195,7 +190,7 @@ def _analyze_unit(
     cache_dir: Optional[str],
     memo_dir: Optional[str],
     token: str,
-    obs_opts: Dict[str, object],
+    keep_ledger: bool,
     unit: _Unit,
 ) -> UnitOutcome:
     """Worker entry point: one scheduler unit, a fresh tool, delta counts.
@@ -214,18 +209,15 @@ def _analyze_unit(
     entry once ``recover`` returns (its ``cache.writes`` count rides
     home in the unit's registry); a unit that raises writes nothing.
 
-    ``obs_opts`` flags the deep-observability payloads: ``"ledger"``
-    (run-ledger records) and ``"profiler"`` (hot-loop attribution).
-    Whatever is enabled rides home in ``obs`` as plain lists/dicts,
-    merged additively by the parent — the same ship-the-document
-    pattern as the metrics registry.
+    With ``keep_ledger`` the unit's run-ledger records ride home in
+    ``obs`` as plain dicts, which the parent appends to its ledger —
+    the same ship-the-document pattern as the metrics registry.
     """
     job_index, bytecode = unit
     _enter_run(token)
     registry = MetricsRegistry() if collect_metrics else None
-    ledger = RunLedger() if obs_opts.get("ledger") else None
-    profiler = HotLoopProfiler() if obs_opts.get("profiler") else None
-    tool = SigRec(metrics=registry, ledger=ledger, profiler=profiler, **options)
+    ledger = RunLedger() if keep_ledger else None
+    tool = SigRec(metrics=registry, ledger=ledger, **options)
     # The shared store reports into whichever unit attached it last; a
     # worker processes one unit at a time, so this is race-free.
     for kind, enabled in (
@@ -241,12 +233,6 @@ def _analyze_unit(
         ResultCache(cache_dir, options, metrics=registry).put(
             bytecode, signatures, counts
         )
-    obs: Optional[dict] = None
-    if ledger is not None or profiler is not None:
-        obs = {
-            "ledger": ledger.records if ledger is not None else [],
-            "profile": profiler.counts if profiler is not None else {},
-        }
     return UnitOutcome(
         job_index=job_index,
         signatures=signatures,
@@ -255,7 +241,7 @@ def _analyze_unit(
         elapsed=elapsed,
         memo=tool.last_memo,
         inference_memo=tool.last_inference_memo,
-        obs=obs,
+        obs=ledger.records if ledger is not None else [],
     )
 
 
@@ -373,12 +359,10 @@ class BatchRecovery:
     ) -> None:
         self.tool = tool if tool is not None else SigRec()
         # Telemetry flows through the tool's backends: worker documents
-        # merge into ``metrics``, worker run-ledger records append to
-        # ``ledger`` and worker hot-loop tallies fold into ``profiler``
-        # — so batch and serial runs aggregate identically.
+        # merge into ``metrics`` and worker run-ledger records append to
+        # ``ledger`` — so batch and serial runs aggregate identically.
         self.metrics = self.tool.metrics
         self.ledger = self.tool.ledger
-        self.profiler = self.tool.profiler
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = max(0, workers)
@@ -437,10 +421,6 @@ class BatchRecovery:
             stats.cache_misses = len(units)
         stats.analyzed = stats.units = len(units)
 
-        obs_opts: Dict[str, object] = {
-            "ledger": self.ledger is not None,
-            "profiler": self.profiler is not None,
-        }
         analyze = partial(
             _analyze_unit,
             self.tool.options(),
@@ -448,7 +428,7 @@ class BatchRecovery:
             self.cache.directory if self.cache is not None else None,
             self.memo_dir,
             os.urandom(8).hex(),  # memory-tier scope: this run only
-            obs_opts,
+            self.ledger is not None,
         )
         if units:
             if self.workers and len(units) > 1:
@@ -561,10 +541,9 @@ class BatchRecovery:
         finished: Dict[int, List[RecoveredSignature]],
     ) -> None:
         """Fold per-unit outcomes into per-contract results and the
-        tool's tracker, registry, ledger and profiler."""
+        tool's tracker, registry and ledger."""
         for outcome in outcomes:
-            job_index, obs = outcome.job_index, outcome.obs
-            finished[job_index] = outcome.signatures
+            finished[outcome.job_index] = outcome.signatures
             self.tool.tracker.merge(outcome.counts)
             if outcome.metrics is not None:
                 self.metrics.merge(outcome.metrics)
@@ -572,15 +551,10 @@ class BatchRecovery:
                 self.metrics.histogram("contract.seconds").observe(
                     outcome.elapsed
                 )
-            if obs is not None:
+            if self.ledger is not None:
                 # Outcomes arrive in unit-submission order, so the
-                # merged ledger/profiles are deterministic for a given
-                # corpus regardless of worker count.
-                if self.ledger is not None:
-                    for record in obs["ledger"]:
-                        record["job"] = job_index
-                    self.ledger.extend(obs["ledger"])
-                if self.profiler is not None and obs["profile"]:
-                    self.profiler.merge(
-                        {int(pc): c for pc, c in obs["profile"].items()}
-                    )
+                # merged ledger is deterministic for a given corpus
+                # regardless of worker count.
+                for record in outcome.obs:
+                    record["job"] = outcome.job_index
+                self.ledger.extend(outcome.obs)

@@ -40,7 +40,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.evm.predecode import decode as _decode_program
 from repro.evm.semantics import HALT, Domain
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.profiler import HotLoopProfiler
 from repro.sigrec import expr as E
 from repro.sigrec.events import (
     CalldataCopyEvent,
@@ -765,17 +764,12 @@ class TASEEngine:
         semantic_idioms: bool = True,
         step_hook: Optional[Callable] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[HotLoopProfiler] = None,
     ) -> None:
         self.bytecode = bytecode
         # The registry only sees aggregate tallies published once per
         # ``run()`` — the hot loop keeps plain ints and never reads a
         # clock, so disabled observability costs one identity check.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Hot-loop step attribution: charged once per block transition,
-        # so the per-step path never sees it and the disabled cost is
-        # one ``is not None`` per superblock.
-        self.profiler = profiler
         self.max_total_steps = max_total_steps
         self.max_paths = max_paths
         self.fork_bound = fork_bound
@@ -902,7 +896,6 @@ class TASEEngine:
         """
         block_of = self._program.block
         hook = self.step_hook
-        prof = self.profiler
         max_total = self.max_total_steps
         max_path = self.max_path_steps
         aconst = self.arena.const
@@ -919,10 +912,6 @@ class TASEEngine:
             domain.bind(state)
             stack = state.stack
             steps = state.steps
-            # Profiler attribution unit: steps charged since ``mark``
-            # belong to the superblock entered at ``bpc``.
-            bpc = state.pc
-            mark = total
             block = block_of(state.pc)
             while True:
                 if block is None:
@@ -1026,16 +1015,8 @@ class TASEEngine:
                     break
                 else:
                     next_pc = control
-                if prof is not None:
-                    prof.record_block(bpc, total - mark)
-                    mark = total
-                    bpc = next_pc
                 block = block_of(next_pc)
             state.steps = steps
-            if prof is not None and total != mark:
-                # The tail of the path: the steps charged after the last
-                # block transition (HALT, truncation, underflow, probe).
-                prof.record_block(bpc, total - mark)
         return total
 
     def publish_metrics(self, result: TASEResult) -> None:

@@ -72,7 +72,9 @@ def test_ledger_takes_only_a_path(tmp_path):
         RunLedger(str(tmp_path / "ledger.jsonl"), max_bytes=200)
 
 
-@pytest.mark.parametrize("module", ["repro.obs.httpexp", "repro.obs.prom"])
+@pytest.mark.parametrize(
+    "module", ["repro.obs.httpexp", "repro.obs.prom", "repro.obs.profiler"]
+)
 def test_no_telemetry_endpoint_or_exposition_module(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)

@@ -76,14 +76,18 @@ def test_tier_section_hit_rates():
     assert empty["result_cache"]["hit_rate"] is None
 
 
-def test_hotspots_aggregate_across_records():
+def test_report_ignores_hotspots_in_older_ledger_records():
+    # Older ledgers carry a per-record ``hotspots`` list of (pc, steps);
+    # a pc names a block only within one bytecode, so the report sums
+    # no such table.
     records = [
-        {"hotspots": [[16, 100], [32, 50]]},
-        {"hotspots": [[16, 25]]},
-        {},
+        {"elapsed_seconds": 0.2, "hotspots": [[16, 100], [32, 50]]},
+        {"elapsed_seconds": 0.1, "hotspots": [[16, 25]]},
     ]
     report = build_report(ledger_records=records)
-    assert report["hotspots"] == [[16, 125], [32, 50]]
+    assert "hotspots" not in report
+    assert report["ledger"]["records"] == 2
+    assert "hot superblocks" not in render_report(report)
 
 
 def test_slowest_section_names_the_dominant_phase():

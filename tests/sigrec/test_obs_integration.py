@@ -1,5 +1,7 @@
 """Observability wiring across engine, API, cache, and batch layers."""
 
+import pytest
+
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -114,6 +116,15 @@ def test_metrics_do_not_perturb_options_fingerprint():
     plain = SigRec()
     instrumented = SigRec(metrics=MetricsRegistry())
     assert plain.options() == instrumented.options()
+
+
+def test_no_layer_takes_a_hot_loop_profiler():
+    # The engine's ``step_hook`` (``repro.evm.tracer.SymbolicTracer``)
+    # is the one way to attribute TASE steps to code.
+    with pytest.raises(TypeError):
+        SigRec(profiler=object())
+    with pytest.raises(TypeError):
+        TASEEngine(_bytecode("a(uint8)"), profiler=object())
 
 
 def test_max_paths_truncation_is_metered_and_diagnosed():

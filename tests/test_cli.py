@@ -151,6 +151,12 @@ def test_batch_from_file(token_hex, tmp_path, capsys):
     assert "2 contracts (1 unique, 50%)" in captured.err
     assert "contracts/s" in captured.err
     assert "workers=serial" in captured.err
+    # A negative pool size is an error, not a serial run.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["batch", str(path), "--workers", "-4", "--time"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err and captured.out == ""
 
 
 def test_batch_from_directory_with_cache(token_hex, tmp_path, capsys):
@@ -435,16 +441,18 @@ def test_batch_metrics_and_trace_out(token_hex, tmp_path, capsys):
     assert counters["cache.hits"] == 1
     assert any(k.startswith("rules.fired{rule=") for k in counters)
 
-    # A batch writes no trace (the ledger is its per-recovery record)
-    # and serves nothing: the documents are its only telemetry.
-    for flag, value in (
-        ("--trace-out", str(tmp_path / "t.jsonl")),
-        ("--serve-metrics", "0"),
-        ("--serve-hold", "1"),
+    # A batch writes no trace (the ledger is its per-recovery record),
+    # serves nothing and profiles nothing: the documents are its only
+    # telemetry.
+    for extra in (
+        ["--trace-out", str(tmp_path / "t.jsonl")],
+        ["--serve-metrics", "0"],
+        ["--serve-hold", "1"],
+        ["--profile-hotspots"],
     ):
         with pytest.raises(SystemExit) as excinfo:
-            main(args + [flag, value])
-        assert excinfo.value.code == 2, flag
+            main(args + extra)
+        assert excinfo.value.code == 2, extra
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -475,11 +483,25 @@ def test_report_rejects_missing_metrics_document(tmp_path):
 
 
 def test_report_rejects_missing_ledger(tmp_path, capsys):
-    for path in (tmp_path / "absent.jsonl", tmp_path):
+    import json
+
+    from repro.obs import MetricsRegistry, dump_metrics
+
+    # A metrics document has content but no ledger record in it.
+    metrics_path = tmp_path / "m.json"
+    registry = MetricsRegistry()
+    registry.counter("recover.calls").inc()
+    dump_metrics(registry, str(metrics_path))
+    for path in (tmp_path / "absent.jsonl", tmp_path, metrics_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["report", "--ledger", str(path)])
         assert excinfo.value.code == f"error: {path} is not a ledger file"
     assert capsys.readouterr().out == ""
+    # An empty file is a ledger with no records yet.
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["report", "--ledger", str(empty), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"]["records"] == 0
 
 
 def test_report_rejects_negative_top(tmp_path, capsys):
@@ -562,15 +584,13 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
         "batch", str(corpus), "--workers", "0",
         "--metrics-out", str(metrics_path),
         "--ledger-out", str(ledger_path),
-        "--profile-hotspots",
     ]) == 0
     captured = capsys.readouterr()
     assert f"ledger: {ledger_path} (1 records)" in captured.err
-    assert "hot superblocks" in captured.err
 
     with open(ledger_path, encoding="utf-8") as handle:
         (record,) = [json.loads(line) for line in handle if line.strip()]
-    assert record["tier"] == "cold" and record["hotspots"]
+    assert record["tier"] == "cold" and "hotspots" not in record
 
     assert main([
         "report", "--metrics", str(metrics_path), "--ledger", str(ledger_path),
@@ -578,7 +598,6 @@ def test_batch_observability_outputs_feed_report(token_hex, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phase time attribution" in out
     assert "run ledger: 1 records" in out
-    assert "hot superblocks" in out
     assert "slowest recoveries" in out
 
     assert main(["report", "--ledger", str(ledger_path), "--json"]) == 0
